@@ -25,10 +25,9 @@ from .errors import (
 from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
 from .gaussian import DetectorModel
 from .keyrate import ModulationOptimum, mutual_information, optimize_modulation, secure_key_rate
-from .noise import ChannelModel, ProtocolParams, excess_noise_alice, total_noise
+from .noise import ChannelModel, ProtocolParams, alice_uncertainty, excess_noise_alice, total_noise
 from .simulate import (
     SimConfig,
-    analytic_delta,
     analytic_moments,
     empirical_mi_stderr,
     empirical_mutual_information,
@@ -245,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ]
     eps_hat, eps_err = estimate_excess_noise(summary)
     lines += _verdict_lines("eps_A", excess_noise_alice(params, det_a), eps_hat, eps_err)
-    lines += _verdict_lines("delta", analytic_delta(params, det_a), summary.delta_hat, summary.delta_stderr)
+    lines += _verdict_lines("delta", alice_uncertainty(params.eta_a, det_a), summary.delta_hat, summary.delta_stderr)
 
     budget = total_noise(params, det_a, det_b, ch)
     try:

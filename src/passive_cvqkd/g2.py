@@ -16,6 +16,7 @@ it refuses records that have not been calibrated to SNU.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,41 +90,108 @@ def load_quadrature_records(
 ) -> QuadratureRecord:
     """Parse a CSV file of paired quadrature outcomes, in raw units.
 
-    The file must contain numeric rows of exactly two columns (x, p), or
-    carry a header from which a pair of columns is selected by name via
-    ``columns``.  Any malformed row aborts the load with its line number.
+    Format: lines end in ``\\n``, ``\\r\\n`` or ``\\r`` (and in the other
+    breaks of ``str.splitlines``); lines of only whitespace are skipped.
+    The first other line is a header unless every comma-separated cell
+    parses as ``float``.  Without a header every row has exactly two
+    cells (x, p); with one, ``columns`` names the pair to read (needed
+    unless the header has exactly two names), and every row has at least
+    the cells up to the rightmost selected one.  Each selected cell must
+    be a finite ``float``, and at least 2 rows are needed.  Any malformed
+    row aborts the load, naming its line number.
+
+    Plain ASCII files are parsed by numpy's C tokenizer; when it refuses
+    a file, or a file has bytes on which the tokenizer and the rules
+    above could disagree, the line scanner reads it instead.  The scanner
+    defines the format, names the bad lines and accepts the rare cells
+    only ``float`` takes (``1_000``, say).  Either way the values are
+    bit-identical and no per-row Python objects are kept on the fast path.
 
     Raises:
         FileNotFoundError: the file does not exist.
         RecordFormatError: non-numeric fields, wrong column counts,
-            unknown column names, or fewer than 2 samples.
+            unknown column names, fewer than 2 samples, or text that is
+            not UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    samples = _load_plain(path, columns) if _is_plain(path) else None
+    if samples is None:
+        samples = _scan(path, columns)
+    return QuadratureRecord(samples, unit_flag=UNIT_RAW, label=label or path)
 
-    start = 0
-    idx_x, idx_p = 0, 1
-    header: list[str] | None = None
-    first_idx = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if first_idx is not None:
-        cells = [c.strip() for c in lines[first_idx].split(",")]
+
+def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, path: str) -> tuple[bool, int, int]:
+    """Header rule: whether the first non-blank line is a header, and the pair's indices."""
+    header = None
+    if first_line is not None:
+        cells = [c.strip() for c in first_line.split(",")]
         if not _all_numeric(cells):
             header = cells
-    if header is not None:
-        start = first_idx + 1
+    if header is None:
         if columns is not None:
-            try:
-                idx_x, idx_p = header.index(columns[0]), header.index(columns[1])
-            except ValueError:
-                raise RecordFormatError(
-                    f"columns {columns} not found in header {header} of {path}"
-                ) from None
-        elif len(header) != 2:
+            raise RecordFormatError(f"{path} has no header row to resolve columns {columns}")
+        return False, 0, 1
+    if columns is None:
+        if len(header) != 2:
             raise RecordFormatError(
                 f"{path} has {len(header)} columns; pass columns=(x_name, p_name) to select a pair"
             )
-    elif columns is not None:
-        raise RecordFormatError(f"{path} has no header row to resolve columns {columns}")
+        return True, 0, 1
+    try:
+        return True, header.index(columns[0]), header.index(columns[1])
+    except ValueError:
+        raise RecordFormatError(f"columns {columns} not found in header {header} of {path}") from None
+
+
+# ASCII bytes that str.splitlines() breaks lines at, or that numpy strips
+# from a cell and float() does not; a file with any of them, or with any
+# non-ASCII byte, goes to the line scanner.
+_SCANNER_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _is_plain(path: str) -> bool:
+    """Whether numpy's tokenizer and the line scanner split ``path`` alike."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if not chunk.isascii() or any(b in chunk for b in _SCANNER_ONLY):
+                return False
+    return True
+
+
+def _load_plain(path: str, columns: tuple[str, str] | None) -> np.ndarray | None:
+    """The record of a plain ASCII file by ``np.loadtxt``, or None if it refuses."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = next((line for line in iter(fh.readline, "") if line.strip()), None)
+        has_header, idx_x, idx_p = _resolve_columns(first, columns, path)
+        if not has_header:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
+                data = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    comments=None,
+                    usecols=(idx_x, idx_p) if has_header else None,
+                    ndmin=2,
+                )
+        except ValueError:
+            return None
+    if data.shape[1] != 2 or len(data) < 2 or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _scan(path: str, columns: tuple[str, str] | None) -> np.ndarray:
+    """The line scanner: the definition of the record format."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise RecordFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+    first_idx = next((i for i, line in enumerate(lines) if line.strip()), None)
+    has_header, idx_x, idx_p = _resolve_columns(None if first_idx is None else lines[first_idx], columns, path)
+    start = first_idx + 1 if has_header else 0
 
     needed = max(idx_x, idx_p) + 1
     rows: list[tuple[float, float]] = []
@@ -132,7 +200,7 @@ def load_quadrature_records(
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) < needed or (header is None and len(cells) != 2):
+        if len(cells) < needed or (not has_header and len(cells) != 2):
             bad.append(lineno)
             continue
         try:
@@ -151,7 +219,7 @@ def load_quadrature_records(
         raise RecordFormatError(f"{path}: malformed rows at lines {shown}{more}", lines=bad)
     if len(rows) < 2:
         raise RecordFormatError(f"{path}: need at least 2 samples, got {len(rows)}")
-    return QuadratureRecord(np.array(rows), unit_flag=UNIT_RAW, label=label or path)
+    return np.array(rows)
 
 
 def _all_numeric(cells: list[str]) -> bool:
@@ -237,7 +305,6 @@ def g2_estimate(
     n_boot: int = 200,
     min_samples: int = 10_000,
     rng: int | RngStream | np.random.Generator = 0,
-    subtract_electronic: DetectorModel | None = None,
 ) -> G2Result:
     """Second-order intensity correlation from calibrated samples.
 
@@ -252,9 +319,6 @@ def g2_estimate(
         n_boot: bootstrap resamples for the standard error.
         min_samples: required record length.
         rng: seed, stream, or generator for the bootstrap.
-        subtract_electronic: when given, removes the detector's
-            electronic-noise variance from Z before the moments; a
-            diagnostic option, unnecessary for Gaussian inputs.
 
     Raises:
         UnitError: the record is not calibrated to SNU.
@@ -269,8 +333,6 @@ def g2_estimate(
         raise ParameterError(f"n_boot must be >= 2, got {n_boot}")
 
     z = np.square(record.samples).sum(axis=1)
-    if subtract_electronic is not None:
-        z = z - 2.0 * subtract_electronic.v_el
 
     def ratio(m1: float, m2: float) -> float:
         return (m2 - 4.0 * m1 + 2.0) / (m1 - 1.0) ** 2

@@ -16,7 +16,12 @@ depends only on ``(master_seed, partitions)``, not on worker scheduling.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+import os
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,12 +29,11 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, TrackingDisabledError
 from .gaussian import DetectorModel, RngStream, beamsplitter, heterodyne_measure, sample_thermal_quadratures
-from .noise import ChannelModel, ProtocolParams, alice_uncertainty, channel_transmittance
+from .noise import ChannelModel, ProtocolParams, channel_transmittance
 
 __all__ = [
     "SimConfig",
     "SimSummary",
-    "analytic_delta",
     "analytic_moments",
     "empirical_mi_stderr",
     "empirical_mutual_information",
@@ -42,6 +46,8 @@ DUMP_HEADER = "round,xA,pA,xB,pB"
 # Rounds are processed in fixed-size chunks so that draws, and therefore
 # results, do not depend on how partitions are scheduled.
 _CHUNK = 1 << 17
+# Dump rows are formatted this many at a time, which bounds the text in memory.
+_DUMP_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,6 @@ class SimSummary:
     delta_stderr: float | None
     tracked: bool
 
-    @property
-    def eps_a_hat(self) -> float | None:
-        return None if self.delta_hat is None else self.delta_hat - 1.0
-
 
 class _Kahan:
     """Compensated accumulator, elementwise over a fixed shape."""
@@ -102,50 +104,62 @@ class _Kahan:
         self.total = t
 
 
-def _partition_sums(args):
-    """Run one partition; returns summed sufficient statistics."""
-    cfg, index, n_rounds, want_samples = args
+def _chunk(cfg: SimConfig, t: float, m: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``m`` rounds through a channel of transmittance ``t``.
+
+    Returns the ``(x_A, p_A, x_B, p_B)`` rows and the outgoing quadratures.
+    """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
     eta_a = params.eta_a
-    t = channel_transmittance(cfg.channel)
-    scale_a = math.sqrt(2.0 * eta_a / det_a.eta_d)
-    sqrt_eps0 = math.sqrt(params.eps0)
+    src = sample_thermal_quadratures(params.n0, m, g)
+    # Each splitter arm gets its own vacuum admixture, so the noise on
+    # Alice's estimate is independent of the noise on the outgoing
+    # mode; this is the preparation model whose estimate-error
+    # variance is alice_uncertainty().
+    mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
+    _, mod2 = beamsplitter(g.standard_normal((m, 2)), src, 0.5)
+    out, _ = beamsplitter(mod1, g.standard_normal((m, 2)), eta_a)
+    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne_measure(mod2, det_a, g)
+    # Channel excess noise is injected at the channel input.
+    excess = math.sqrt(params.eps0) * g.standard_normal((m, 2))
+    received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), t)
+    meas_b = heterodyne_measure(received, det_b, g)
+    return np.concatenate([est, meas_b], axis=1), out
 
+
+def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
+    """Write ``block``'s rows as dump lines numbered from ``first_row``."""
+    for lo in range(0, len(block), _DUMP_BATCH):
+        rows = enumerate(block[lo : lo + _DUMP_BATCH].tolist(), first_row + lo)
+        # repr of a float round-trips exactly
+        fh.write("".join(f"{row},{xa!r},{pa!r},{xb!r},{pb!r}\n" for row, (xa, pa, xb, pb) in rows))
+
+
+def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, part_path: str | None):
+    """Run one partition; returns summed sufficient statistics.
+
+    With ``part_path`` the partition's rounds are also written there as
+    dump rows numbered from ``first_row``, one chunk at a time.
+    """
+    t = channel_transmittance(cfg.channel)
     g = RngStream(cfg.master_seed, index).generator()
     moments = _Kahan((4, 4))
     d2_sum = _Kahan()
     d4_sum = _Kahan()
-    samples = [] if want_samples else None
-
-    done = 0
-    while done < n_rounds:
-        m = min(_CHUNK, n_rounds - done)
-        src = sample_thermal_quadratures(params.n0, m, g)
-        # Each splitter arm gets its own vacuum admixture, so the noise on
-        # Alice's estimate is independent of the noise on the outgoing
-        # mode; this is the preparation model whose estimate-error
-        # variance is alice_uncertainty().
-        mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
-        _, mod2 = beamsplitter(g.standard_normal((m, 2)), src, 0.5)
-        out, _ = beamsplitter(mod1, g.standard_normal((m, 2)), eta_a)
-        est = scale_a * heterodyne_measure(mod2, det_a, g)
-        # Channel excess noise is injected at the channel input.
-        excess = sqrt_eps0 * g.standard_normal((m, 2))
-        received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), t)
-        meas_b = heterodyne_measure(received, det_b, g)
-
-        v4 = np.concatenate([est, meas_b], axis=1)
-        moments.add(v4.T @ v4)
-        if cfg.track_internal:
-            d2 = np.square(est - out)
-            d2_sum.add(d2.sum())
-            d4_sum.add(np.square(d2).sum())
-        if samples is not None:
-            samples.append(v4)
-        done += m
-
-    stacked = np.concatenate(samples, axis=0) if samples is not None else None
-    return moments.total, d2_sum.total, d4_sum.total, stacked
+    with open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext() as fh:
+        for done in range(0, n_rounds, _CHUNK):
+            v4, out = _chunk(cfg, t, min(_CHUNK, n_rounds - done), g)
+            moments.add(v4.T @ v4)
+            if cfg.track_internal:
+                d2 = np.square(v4[:, :2] - out)
+                d2_sum.add(d2.sum())
+                d4_sum.add(np.square(d2).sum())
+            if fh is not None:
+                _write_rows(fh, v4, first_row + done)
+            # Drop this chunk before drawing the next, so that the peak
+            # memory does not grow with the number of chunks.
+            v4 = out = d2 = None
+    return moments.total, d2_sum.total, d4_sum.total
 
 
 def run_protocol(
@@ -160,7 +174,12 @@ def run_protocol(
             are merged in index order, so the summary is identical for
             any ``workers`` value.
         dump_path: optional CSV path for the raw per-round samples, with
-            header ``round,xA,pA,xB,pB`` in SNU at full precision.
+            header ``round,xA,pA,xB,pB`` in SNU at full precision.  Each
+            partition writes its rows, a chunk at a time, to a part file
+            in a temporary directory beside ``dump_path``; the parts are
+            then appended in partition order and removed, also when the
+            run fails.  Memory stays O(chunk), not O(count), and the
+            bytes do not depend on ``workers``.
         workers: process count for parallel partitions; None or 1 runs
             sequentially.
 
@@ -169,31 +188,34 @@ def run_protocol(
         statistics.
     """
     base, rem = divmod(cfg.count, cfg.partitions)
-    counts = [base + (1 if k < rem else 0) for k in range(cfg.partitions)]
-    jobs = [(cfg, k, n, dump_path is not None) for k, n in enumerate(counts) if n > 0]
+    # Partitions beyond cfg.count would get no rounds; they are not run.
+    counts = [base + (1 if k < rem else 0) for k in range(min(cfg.partitions, cfg.count))]
+    first_rows = list(itertools.accumulate(counts[:-1], initial=0))
 
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_partition_sums, jobs))
-    else:
-        results = [_partition_sums(job) for job in jobs]
+    with contextlib.ExitStack() as stack:
+        parts = [None] * len(counts)
+        if dump_path is not None:
+            dump = stack.enter_context(open(dump_path, "wb"))
+            tmp = tempfile.mkdtemp(prefix=".dump-", dir=os.path.dirname(os.path.abspath(dump_path)))
+            stack.callback(shutil.rmtree, tmp, ignore_errors=True)
+            parts = [os.path.join(tmp, f"part{k}.csv") for k in range(len(counts))]
+        mapper = map
+        if workers is not None and workers > 1 and len(counts) > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        results = list(mapper(_partition_sums, itertools.repeat(cfg), range(len(counts)), counts, first_rows, parts))
+        if dump_path is not None:
+            dump.write(DUMP_HEADER.encode() + b"\n")
+            for part in parts:
+                with open(part, "rb") as fh:
+                    shutil.copyfileobj(fh, dump)
 
     moments = _Kahan((4, 4))
     d2_sum = _Kahan()
     d4_sum = _Kahan()
-    for m_part, d2_part, d4_part, _ in results:
+    for m_part, d2_part, d4_part in results:
         moments.add(m_part)
         d2_sum.add(d2_part)
         d4_sum.add(d4_part)
-
-    if dump_path is not None:
-        with open(dump_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(DUMP_HEADER + "\n")
-            row = 0
-            for _, _, _, block in results:
-                for xa, pa, xb, pb in block.tolist():  # repr of float round-trips exactly
-                    fh.write(f"{row},{xa!r},{pa!r},{xb!r},{pb!r}\n")
-                    row += 1
 
     n = cfg.count
     second = moments.total / n
@@ -283,7 +305,3 @@ def analytic_moments(
     out[0, 2] = out[2, 0] = out[1, 3] = out[3, 1] = cov
     return out
 
-
-def analytic_delta(params: ProtocolParams, det_a: DetectorModel) -> float:
-    """Predicted mean squared estimate error (the closed-form uncertainty)."""
-    return alice_uncertainty(params.eta_a, det_a)

@@ -1,9 +1,13 @@
 """Record ingestion, photon-number calibration, and the g2 estimator."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import displaced_gaussian_g2
 from passive_cvqkd import (
@@ -94,12 +98,123 @@ class TestLoader:
         with pytest.raises(RecordFormatError):
             load_quadrature_records(str(path), columns=("xA", "pA"))
 
+    def test_text_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x,p\n1.0,2.0\n3.0,\xff4.0\n")
+        with pytest.raises(RecordFormatError, match="not UTF-8"):
+            load_quadrature_records(str(path))
+
     def test_non_finite_values_are_malformed(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("1.0,2.0\ninf,0.0\n3.0,4.0\n")
         with pytest.raises(RecordFormatError) as err:
             load_quadrature_records(str(path))
         assert err.value.lines == [2]
+
+
+# Line breaks of str.splitlines() beyond \n and \r, and whitespace that
+# float() and numpy's tokenizer strip differently.
+_ODD_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]
+_ODD_CELLS = ["nan", "inf", "-inf", "1_000", "abc", "", " 2.5 ", "\t-0.0", "0x1p3", "1e400", "\u0661", "3.0\x00"]
+_ODD_CELLS += ["4.0#x"] + [f"2.0{c}3.0" for c in _ODD_SPACE]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_files(draw):
+    """CSV text in the record format with up to three flaws, and the ``columns`` to load it with."""
+    has_header = draw(st.booleans())
+    width = draw(st.integers(2, 5)) if has_header else 2
+    names = [f"c{i}" for i in range(width)]
+    ix, ip = draw(st.permutations(range(width)))[:2]
+    columns = (names[ix], names[ip]) if has_header and (width != 2 or draw(st.booleans())) else None
+    clean = _FINITE.map(repr if draw(st.booleans()) else "{:.18e}".format)
+    rows = [[draw(clean) for _ in range(width)] for _ in range(draw(st.integers(0, 12)))]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3])) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        flaw = draw(st.sampled_from(["cell", "space", "short", "long"]))
+        if flaw == "long" or not row:
+            row.append(draw(clean))
+        elif flaw == "short":
+            row.pop()
+        else:
+            k = draw(st.integers(0, len(row) - 1))
+            padded = [row[k] + c for c in _ODD_SPACE] + [c + row[k] for c in _ODD_SPACE]
+            row[k] = draw(st.sampled_from(_ODD_CELLS if flaw == "cell" else padded))
+    lines = [",".join(row) for row in rows]
+    if has_header:
+        lines.insert(0, draw(st.sampled_from([",", " , "])).join(names))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"] + _ODD_SPACE)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else ""), columns
+
+
+def _float_or_none(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def reference_load(text, columns):
+    """The documented record format: the samples, or the bad line numbers."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    first = [c.strip() for c in lines[0][1].split(",")] if lines else []
+    header = first if any(_float_or_none(c) is None for c in first) else None
+    if header is None:
+        if columns is not None:
+            return []
+        ix, ip = 0, 1
+    else:
+        lines = lines[1:]
+        if columns is None:
+            if len(header) != 2:
+                return []
+            ix, ip = 0, 1
+        elif columns[0] in header and columns[1] in header:
+            ix, ip = header.index(columns[0]), header.index(columns[1])
+        else:
+            return []
+    rows, bad = [], []
+    for n, line in lines:
+        cells = line.split(",")
+        fits = len(cells) == 2 if header is None else len(cells) > max(ix, ip)
+        pair = (_float_or_none(cells[ix]), _float_or_none(cells[ip])) if fits else (None, None)
+        if None in pair or not all(math.isfinite(v) for v in pair):
+            bad.append(n)
+        else:
+            rows.append(pair)
+    if bad or len(rows) < 2:
+        return bad
+    return np.array(rows)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(record_files())
+@example(("1,2\n3,4\n5,6\n", None))
+@example(("1,2,3\n4,5,6\n", None))
+@example(("1,2\n", None))
+@example((" \n1_000,2\n3,4\n", None))
+@example(("1,2\nnan,4\n5,6\n", None))
+@example(("1,2\n3,4#x\n", None))
+@example(("1.5\x1f,2\n3,4\n", None))
+@example(("c0,c1,c2\n1,2\x1c,3\n4,5,6\n", ("c0", "c1")))
+@example(("c0,c1,c2\n1,2\u2028,3\n4,5,6\n", ("c0", "c1")))
+def test_loader_agrees_with_the_documented_format(case):
+    text, columns = case
+    expected = reference_load(text, columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            got = load_quadrature_records(path, columns=columns).samples
+        except RecordFormatError as exc:
+            assert exc.lines == expected
+        else:
+            assert isinstance(expected, np.ndarray)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestCalibration:
@@ -208,14 +323,6 @@ class TestG2:
         b = g2_estimate(record, rng=9)
         assert a.g2 == b.g2
         assert a.stderr == b.stderr
-
-    def test_electronic_noise_subtraction_shifts_mean_z(self):
-        det = DetectorModel(0.5, 0.35)
-        samples = 2.0 * RngStream(81).generator().standard_normal((50_000, 2))
-        record = QuadratureRecord(samples, UNIT_SNU)
-        plain = g2_estimate(record, rng=13)
-        adjusted = g2_estimate(record, rng=13, subtract_electronic=det)
-        assert adjusted.mean_z == pytest.approx(plain.mean_z - 2.0 * det.v_el, rel=1e-12)
 
     def test_bootstrap_stderr_scales_as_inverse_root_count(self):
         g = RngStream(79).generator()

@@ -1,6 +1,7 @@
 """Monte Carlo protocol simulation against the closed-form model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from passive_cvqkd import (
     DetectorModel,
     ParameterError,
     ProtocolParams,
+    RngStream,
     SimConfig,
     TrackingDisabledError,
+    alice_uncertainty,
+    channel_transmittance,
     empirical_mutual_information,
     estimate_excess_noise,
     excess_noise_alice,
@@ -20,12 +24,8 @@ from passive_cvqkd import (
     run_protocol,
     total_noise,
 )
-from passive_cvqkd.simulate import (
-    _partition_sums,
-    analytic_delta,
-    analytic_moments,
-    empirical_mi_stderr,
-)
+from passive_cvqkd.cli import EXIT_IO, main
+from passive_cvqkd.simulate import _CHUNK, _chunk, analytic_moments, empirical_mi_stderr
 
 REF_DET = DetectorModel(0.5, 0.1)
 
@@ -48,7 +48,7 @@ class TestEstimateError:
     def test_delta_matches_closed_form_at_threshold(self):
         cfg = make_config(n0=340.0, v_a=1.0)
         summary = run_protocol(cfg)
-        delta = analytic_delta(cfg.params, cfg.det_a)
+        delta = alice_uncertainty(cfg.params.eta_a, cfg.det_a)
         assert delta == pytest.approx(1.01, rel=1e-12)
         assert abs(summary.delta_hat - delta) < 5.0 * summary.delta_stderr
 
@@ -164,7 +164,8 @@ class TestDeterminism:
 class TestDump:
     def test_header_and_roundtrip_identity(self, tmp_path):
         cfg = make_config(count=500, partitions=1, seed=20)
-        _, _, _, samples = _partition_sums((cfg, 0, cfg.count, True))
+        g = RngStream(cfg.master_seed, 0).generator()
+        samples, _ = _chunk(cfg, channel_transmittance(cfg.channel), cfg.count, g)
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
         text = path.read_text().splitlines()
@@ -174,6 +175,44 @@ class TestDump:
         bob = load_quadrature_records(str(path), columns=("xB", "pB"))
         assert np.array_equal(alice.samples, samples[:, :2])
         assert np.array_equal(bob.samples, samples[:, 2:])
+
+    def test_rows_are_numbered_across_partitions(self, tmp_path):
+        cfg = make_config(count=1001, partitions=3, seed=23)
+        path = tmp_path / "rounds.csv"
+        run_protocol(cfg, dump_path=str(path), workers=2)
+        rows = path.read_text().splitlines()[1:]
+        assert [int(r.split(",", 1)[0]) for r in rows] == list(range(cfg.count))
+
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        def peak(count):
+            tracemalloc.start()
+            try:
+                run_protocol(make_config(count=count, partitions=1, seed=24), dump_path=str(tmp_path / "r.csv"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * _CHUNK) <= 1.25 * peak(_CHUNK)
+
+    def test_no_part_file_is_left_behind(self, tmp_path):
+        run_protocol(make_config(count=2000, partitions=3, seed=25), dump_path=str(tmp_path / "r.csv"), workers=2)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_failed_run_removes_its_part_files(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("passive_cvqkd.simulate._write_rows", fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_protocol(make_config(count=2000, partitions=3, seed=26), dump_path=str(tmp_path / "r.csv"))
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    def test_dump_into_missing_directory_is_io_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rounds.csv"
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000", "--dump", str(target)]
+        assert main(argv) == EXIT_IO
+        assert str(target) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dump_is_deterministic(self, tmp_path):
         cfg = make_config(count=200, partitions=2, seed=21)
