@@ -43,6 +43,7 @@ from .noise import (
     ChannelModel,
     NoiseBudget,
     ProtocolParams,
+    TransmittanceFloorWarning,
     alice_uncertainty,
     channel_transmittance,
     excess_noise_alice,
@@ -77,6 +78,7 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "TrackingDisabledError",
+    "TransmittanceFloorWarning",
     "UnitError",
     "alice_uncertainty",
     "beamsplitter",

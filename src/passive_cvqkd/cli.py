@@ -63,7 +63,6 @@ DEFAULTS = {
     "workers": "1",
 }
 _EXTRA_CONFIG_KEYS = {"eta_d_a", "v_el_a", "eta_d_b", "v_el_b", "out"}
-_FLAG_KEYS = ("gamma", "eps0", "v_el", "eta_d", "f", "n0", "va", "length", "count", "seed", "partitions", "workers")
 
 
 def _fmt(x: float) -> str:
@@ -76,7 +75,11 @@ def parse_config_file(path: str) -> dict[str, str]:
     known = set(DEFAULTS) | _EXTRA_CONFIG_KEYS
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -94,23 +97,28 @@ def parse_axis(text: str) -> list[float]:
     text = text.strip()
     if not text:
         raise ParameterError("empty axis specification")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ParameterError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ParameterError(f"invalid range {text!r}")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + k * step for k in range(n)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [p for p in text.split(",") if p.strip()]
+    if is_range and len(parts) != 3:
+        raise ParameterError(f"range must be start:stop:step, got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ParameterError(f"axis values must be numeric, got {text!r}") from None
+    if not is_range:
+        return values
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ParameterError(f"invalid range {text!r}")
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + k * step for k in range(n)]
 
 
 def _settings_from(args: argparse.Namespace) -> dict[str, str]:
     settings = dict(DEFAULTS)
     if getattr(args, "config", None):
         settings.update(parse_config_file(args.config))
-    for key in _FLAG_KEYS:
+    for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = str(value)
@@ -169,7 +177,7 @@ def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, Modulati
     lengths = parse_axis(settings["length"])
     if not n0_values or not lengths:
         raise ParameterError("n0 and length axes must be non-empty")
-    fixed_va = float(settings["va"]) if settings["va"] else None
+    fixed_va = _float_setting(settings, "va") if settings["va"] else None
 
     rows = []
     for n0 in n0_values:
@@ -217,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     det_a, det_b = _detectors(settings)
     n0 = _single(parse_axis(settings["n0"]), "n0")
     length = _single(parse_axis(settings["length"]), "length")
-    va = float(settings["va"]) if settings["va"] else 1.0
+    va = _float_setting(settings, "va") if settings["va"] else 1.0
     params = ProtocolParams(
         n0=n0, v_a=va, f=_float_setting(settings, "f"), eps0=_float_setting(settings, "eps0")
     )

@@ -101,8 +101,13 @@ def sample_thermal_quadratures(
         raise ParameterError(f"mean photon number must be finite and >= 0, got {n_mean}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    sigma = math.sqrt(2.0 * n_mean + 1.0)
-    return _generator(rng).normal(0.0, sigma, size=(int(count), 2))
+    return _thermal(n_mean, _generator(rng), np.empty((int(count), 2)))
+
+
+def _thermal(n_mean: float, g: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with thermal quadratures; no validation.  ``sigma * z``
+    rounds like ``g.normal(0.0, sigma)``, which draws the same ``z``."""
+    return np.multiply(g.standard_normal(out=out), math.sqrt(2.0 * n_mean + 1.0), out=out)
 
 
 def beamsplitter(
@@ -131,9 +136,19 @@ def beamsplitter(
     b = np.asarray(b, dtype=np.float64)
     _check_finite(a, "input a")
     _check_finite(b, "input b")
-    ct = math.sqrt(t)
-    st = math.sqrt(1.0 - t)
-    return ct * a + st * b, -st * a + ct * b
+    return _split(a, b, t), _split(a, b, t, port=1)
+
+
+def _split(a, b, t: float, port: int = 0, out=None, tmp=None):
+    """Output ``port`` (0 or 1) of :func:`beamsplitter`; no validation.
+
+    ``ca * a`` goes into ``out`` and ``cb * b`` into ``tmp`` before they are
+    added, which rounds like the expression ``ca * a + cb * b``.  Given ``out``
+    and ``tmp``, nothing is allocated; ``out`` may be ``a``, ``tmp`` may be ``b``.
+    """
+    ct, st = math.sqrt(t), math.sqrt(1.0 - t)
+    ca, cb = (ct, st) if port == 0 else (-st, ct)
+    return np.add(np.multiply(a, ca, out=out), np.multiply(b, cb, out=tmp), out=out)
 
 
 def heterodyne_measure(
@@ -164,11 +179,15 @@ def heterodyne_measure(
     """
     samples = np.asarray(samples, dtype=np.float64)
     _check_finite(samples, "samples")
-    g = _generator(rng)
-    sig = math.sqrt(det.eta_d / 2.0)
-    vac = math.sqrt(1.0 - det.eta_d / 2.0)
-    out = sig * samples + vac * g.standard_normal(samples.shape)
+    return _heterodyne(samples, det, _generator(rng))
+
+
+def _heterodyne(samples: np.ndarray, det: DetectorModel, g: np.random.Generator, out=None, tmp=None):
+    """:func:`heterodyne_measure` without validation.  Given ``out`` and ``tmp``,
+    nothing is allocated; ``out`` may be ``samples``, ``tmp`` neither of them."""
+    noise = g.standard_normal(samples.shape, out=tmp)
+    out = _split(samples, noise, det.eta_d / 2.0, out=out, tmp=noise)
     # The electronic-noise draw is always consumed so the stream layout
     # does not depend on v_el.
-    out += math.sqrt(det.v_el) * g.standard_normal(samples.shape)
+    out += np.multiply(g.standard_normal(samples.shape, out=noise), math.sqrt(det.v_el), out=noise)
     return out

@@ -43,8 +43,7 @@ class KeyRateReport:
     """Key-rate evaluation at one parameter point.
 
     ``rate_raw`` may be negative (infeasible configuration); ``rate`` is
-    clamped at zero.  ``v`` is the modulated-state variance ``v_a + 1``
-    at the channel input.
+    clamped at zero.
     """
 
     i_ab: float
@@ -52,7 +51,6 @@ class KeyRateReport:
     chi_be: float
     rate_raw: float
     rate: float
-    v: float
 
 
 def g_function(x: float) -> float:
@@ -182,7 +180,6 @@ def secure_key_rate(
         chi_be=chi_be,
         rate_raw=rate_raw,
         rate=max(rate_raw, 0.0),
-        v=params.v_a + 1.0,
     )
 
 

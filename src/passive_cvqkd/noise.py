@@ -85,13 +85,6 @@ class ChannelModel:
         if not (self.length_km >= 0.0 and math.isfinite(self.length_km)):
             raise ParameterError(f"fiber length must be >= 0, got {self.length_km}")
 
-    @classmethod
-    def from_transmittance(cls, t: float) -> "ChannelModel":
-        """Channel with a directly specified transmittance in (0, 1]."""
-        if not (0.0 < t <= 1.0):
-            raise ParameterError(f"transmittance must be in (0, 1], got {t}")
-        return cls(gamma_db_km=1.0, length_km=-10.0 * math.log10(t))
-
 
 @dataclass(frozen=True)
 class NoiseBudget:

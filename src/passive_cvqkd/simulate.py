@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, TrackingDisabledError
-from .gaussian import DetectorModel, RngStream, beamsplitter, heterodyne_measure, sample_thermal_quadratures
+from .gaussian import DetectorModel, RngStream, _heterodyne, _split, _thermal
 from .noise import ChannelModel, ProtocolParams, channel_transmittance
 
 __all__ = [
@@ -104,27 +104,46 @@ class _Kahan:
         self.total = t
 
 
-def _chunk(cfg: SimConfig, t: float, m: int, g: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``m`` rounds through a channel of transmittance ``t``.
+def _chunk_buffers(m: int) -> list[np.ndarray]:
+    """Arrays for chunks of up to ``m`` rounds: the ``(m, 4)`` block, the
+    outgoing quadratures and three scratch arrays, all ``(m, 2)``."""
+    return [np.empty((m, 4))] + [np.empty((m, 2)) for _ in range(4)]
 
-    Returns the ``(x_A, p_A, x_B, p_B)`` rows and the outgoing quadratures.
+
+def _chunk(cfg: SimConfig, t: float, g: np.random.Generator, block, out, src, mod2, tmp):
+    """Draw ``len(block)`` rounds through a channel of transmittance ``t``, in place.
+
+    Returns ``block`` filled with the ``(x_A, p_A, x_B, p_B)`` rows, Alice's
+    estimate (a contiguous copy of its first two columns, in ``mod2``) and
+    ``out``, the outgoing quadratures; ``src`` and ``tmp`` are scratch.
     """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
-    eta_a = params.eta_a
-    src = sample_thermal_quadratures(params.n0, m, g)
+    _thermal(params.n0, g, src)
     # Each splitter arm gets its own vacuum admixture, so the noise on
     # Alice's estimate is independent of the noise on the outgoing
     # mode; this is the preparation model whose estimate-error
-    # variance is alice_uncertainty().
-    mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
-    _, mod2 = beamsplitter(g.standard_normal((m, 2)), src, 0.5)
-    out, _ = beamsplitter(mod1, g.standard_normal((m, 2)), eta_a)
-    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne_measure(mod2, det_a, g)
+    # variance is alice_uncertainty().  Only the arm each splitter
+    # passes on is computed.
+    _split(src, g.standard_normal(out=tmp), 0.5, out=out, tmp=tmp)
+    _split(g.standard_normal(out=mod2), src, 0.5, port=1, out=mod2, tmp=tmp)
+    _split(out, g.standard_normal(out=tmp), params.eta_a, out=out, tmp=tmp)
+    est = _heterodyne(mod2, det_a, g, out=mod2, tmp=tmp)
+    est *= math.sqrt(2.0 * params.eta_a / det_a.eta_d)
     # Channel excess noise is injected at the channel input.
-    excess = math.sqrt(params.eps0) * g.standard_normal((m, 2))
-    received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), t)
-    meas_b = heterodyne_measure(received, det_b, g)
-    return np.concatenate([est, meas_b], axis=1), out
+    received = np.multiply(g.standard_normal(out=src), math.sqrt(params.eps0), out=src)
+    received += out
+    _split(received, g.standard_normal(out=tmp), t, out=received, tmp=tmp)
+    _heterodyne(received, det_b, g, out=received, tmp=tmp)
+    # As complex128 each (x, p) pair is one element, so each half of the
+    # block is filled in one strided pass, not in one call per pair.
+    pairs = block.view(np.complex128)
+    pairs[:, 0] = est.view(np.complex128)[:, 0]
+    pairs[:, 1] = received.view(np.complex128)[:, 0]
+    # Inputs are validated, so only an overflow (a huge n0) gets here; a
+    # non-finite value at any stage reaches these arrays through the chain.
+    if not (np.isfinite(block).all() and np.isfinite(out).all()):
+        raise ParameterError("simulated quadratures contain NaN or Inf values")
+    return block, est, out
 
 
 def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
@@ -146,19 +165,21 @@ def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, p
     moments = _Kahan((4, 4))
     d2_sum = _Kahan()
     d4_sum = _Kahan()
-    with open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext() as fh:
+    # One set of chunk arrays serves every chunk of the partition.
+    bufs = _chunk_buffers(min(_CHUNK, n_rounds))
+    dump = open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext()
+    # A non-finite value is reported by _chunk's guard, not as a warning.
+    with dump as fh, np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_rounds, _CHUNK):
-            v4, out = _chunk(cfg, t, min(_CHUNK, n_rounds - done), g)
+            m = min(_CHUNK, n_rounds - done)
+            v4, est, out = _chunk(cfg, t, g, *(b[:m] for b in bufs))
             moments.add(v4.T @ v4)
             if cfg.track_internal:
-                d2 = np.square(v4[:, :2] - out)
+                d2 = np.square(np.subtract(est, out, out=out), out=out)
                 d2_sum.add(d2.sum())
-                d4_sum.add(np.square(d2).sum())
+                d4_sum.add(np.square(d2, out=d2).sum())
             if fh is not None:
                 _write_rows(fh, v4, first_row + done)
-            # Drop this chunk before drawing the next, so that the peak
-            # memory does not grow with the number of chunks.
-            v4 = out = d2 = None
     return moments.total, d2_sum.total, d4_sum.total
 
 

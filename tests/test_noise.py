@@ -110,17 +110,11 @@ class TestChannel:
             t = channel_transmittance(ChannelModel(0.2, 10_000.0))
         assert t == 1e-15
 
-    def test_from_transmittance_roundtrip(self):
-        ch = ChannelModel.from_transmittance(0.1)
-        assert channel_transmittance(ch) == pytest.approx(0.1, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             ChannelModel(-0.1, 10.0)
         with pytest.raises(ParameterError):
             ChannelModel(0.2, -1.0)
-        with pytest.raises(ParameterError):
-            ChannelModel.from_transmittance(0.0)
 
 
 class TestHeterodyneNoise:

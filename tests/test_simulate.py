@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from passive_cvqkd import (
     SimConfig,
     TrackingDisabledError,
     alice_uncertainty,
+    beamsplitter,
     channel_transmittance,
     empirical_mutual_information,
     estimate_excess_noise,
     excess_noise_alice,
+    heterodyne_measure,
     load_quadrature_records,
     mutual_information,
     run_protocol,
+    sample_thermal_quadratures,
     total_noise,
 )
 from passive_cvqkd.cli import EXIT_IO, main
-from passive_cvqkd.simulate import _CHUNK, _chunk, analytic_moments, empirical_mi_stderr
+from passive_cvqkd.simulate import _CHUNK, _chunk, _chunk_buffers, analytic_moments, empirical_mi_stderr
 
 REF_DET = DetectorModel(0.5, 0.1)
 
@@ -42,6 +46,68 @@ def make_config(n0=340.0, v_a=1.0, length=10.0, count=250_000, seed=42, partitio
         partitions=partitions,
         **kw,
     )
+
+
+def reference_chunk(cfg, t, m, g):
+    """The simulator's chain, written with the public allocating operations.
+
+    Every splitter computes both outputs and every stage is checked for
+    finiteness; the draws are taken in the same order as in ``_chunk``.
+    """
+    params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
+    eta_a = params.eta_a
+    src = sample_thermal_quadratures(params.n0, m, g)
+    mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
+    _, mod2 = beamsplitter(g.standard_normal((m, 2)), src, 0.5)
+    out, _ = beamsplitter(mod1, g.standard_normal((m, 2)), eta_a)
+    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne_measure(mod2, det_a, g)
+    excess = math.sqrt(params.eps0) * g.standard_normal((m, 2))
+    received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), t)
+    meas_b = heterodyne_measure(received, det_b, g)
+    return np.concatenate([est, meas_b], axis=1), out
+
+
+def peak_memory(count, seed, dump_path=None):
+    """Peak traced allocation of a one-partition run of ``count`` rounds."""
+    tracemalloc.start()
+    try:
+        run_protocol(make_config(count=count, partitions=1, seed=seed), dump_path=dump_path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunk:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"v_a": 0.0},
+            {"det_a": DetectorModel(1.0, 0.0), "det_b": DetectorModel(1.0, 0.0)},
+            {"length": 0.0, "eps0": 0.0},
+        ],
+        ids=["reference", "v_a=0", "eta_d=1,v_el=0", "L=0"],
+    )
+    def test_matches_the_public_chain_bit_for_bit(self, kw):
+        cfg = make_config(**kw)
+        t = channel_transmittance(cfg.channel)
+        g, g_ref = RngStream(31, 2).generator(), RngStream(31, 2).generator()
+        bufs = _chunk_buffers(_CHUNK)
+        # A full chunk, then a shorter tail that reuses the same arrays.
+        for m in (_CHUNK, 1000):
+            block, est, out = _chunk(cfg, t, g, *(b[:m] for b in bufs))
+            ref_block, ref_out = reference_chunk(cfg, t, m, g_ref)
+            assert np.array_equal(block, ref_block)
+            assert np.array_equal(est, ref_block[:, :2])
+            assert np.array_equal(out, ref_out)
+
+    @pytest.mark.parametrize("v_a", [0.0, 1.0])
+    def test_overflow_is_a_parameter_error(self, v_a):
+        cfg = make_config(n0=1e308, v_a=v_a, count=1000, partitions=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="NaN or Inf"):
+                run_protocol(cfg)
 
 
 class TestEstimateError:
@@ -165,7 +231,7 @@ class TestDump:
     def test_header_and_roundtrip_identity(self, tmp_path):
         cfg = make_config(count=500, partitions=1, seed=20)
         g = RngStream(cfg.master_seed, 0).generator()
-        samples, _ = _chunk(cfg, channel_transmittance(cfg.channel), cfg.count, g)
+        samples, _, _ = _chunk(cfg, channel_transmittance(cfg.channel), g, *_chunk_buffers(cfg.count))
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
         text = path.read_text().splitlines()
@@ -184,15 +250,11 @@ class TestDump:
         assert [int(r.split(",", 1)[0]) for r in rows] == list(range(cfg.count))
 
     def test_peak_memory_does_not_grow_with_count(self, tmp_path):
-        def peak(count):
-            tracemalloc.start()
-            try:
-                run_protocol(make_config(count=count, partitions=1, seed=24), dump_path=str(tmp_path / "r.csv"))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        dump = str(tmp_path / "r.csv")
+        assert peak_memory(4 * _CHUNK, 24, dump) <= 1.25 * peak_memory(_CHUNK, 24, dump)
 
-        assert peak(4 * _CHUNK) <= 1.25 * peak(_CHUNK)
+    def test_peak_memory_without_dump_does_not_grow_with_count(self):
+        assert peak_memory(4 * _CHUNK, 27) <= 1.25 * peak_memory(_CHUNK, 27)
 
     def test_no_part_file_is_left_behind(self, tmp_path):
         run_protocol(make_config(count=2000, partitions=3, seed=25), dump_path=str(tmp_path / "r.csv"), workers=2)
