@@ -11,7 +11,6 @@ from .errors import (
     ParameterError,
     PhysicalityError,
     RecordFormatError,
-    TrackingDisabledError,
     UnitError,
 )
 from .g2 import (
@@ -77,7 +76,6 @@ __all__ = [
     "RngStream",
     "SimConfig",
     "SimSummary",
-    "TrackingDisabledError",
     "TransmittanceFloorWarning",
     "UnitError",
     "alice_uncertainty",

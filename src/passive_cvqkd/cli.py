@@ -44,6 +44,8 @@ EXIT_DATA = 4
 EXIT_NUMERIC = 5
 
 SWEEP_HEADER = "L_km,n0,V_A_opt,I_AB,chi_BE,R_raw,R"
+# Most points a start:stop:step axis may expand to.
+_MAX_AXIS_POINTS = 10**6
 
 # Every key has a default so a bare `sweep` reproduces the reference
 # configuration: 0.2 dB/km fiber, 0.01 residual excess noise, receivers
@@ -93,7 +95,11 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def parse_axis(text: str) -> list[float]:
-    """Parse a sweep axis: 'start:stop:step' (inclusive), 'a,b,c', or 'x'."""
+    """Parse a sweep axis: 'start:stop:step' (inclusive), 'a,b,c', or 'x'.
+
+    Every value must be finite, and a range may expand to at most
+    ``_MAX_AXIS_POINTS`` points.
+    """
     text = text.strip()
     if not text:
         raise ParameterError("empty axis specification")
@@ -105,13 +111,22 @@ def parse_axis(text: str) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError:
         raise ParameterError(f"axis values must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"axis values must be finite, got {text!r}")
     if not is_range:
         return values
     start, stop, step = values
     if step <= 0 or stop < start:
         raise ParameterError(f"invalid range {text!r}")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(n)]
+    span = (stop - start) / step
+    if span + 1 > _MAX_AXIS_POINTS:
+        raise ParameterError(f"range {text!r} has more than {_MAX_AXIS_POINTS} points")
+    n = int(math.floor(span + 1e-9)) + 1
+    points = [start + k * step for k in range(n)]
+    # The rounding slack above can carry the last point just past stop.
+    if not math.isfinite(points[-1]):
+        raise ParameterError(f"range {text!r} runs past the largest float")
+    return points
 
 
 def _settings_from(args: argparse.Namespace) -> dict[str, str]:
@@ -289,8 +304,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if len(names) != 2:
             raise ParameterError(f"--columns needs two names, got {args.columns!r}")
         columns = (names[0], names[1])
-    thermal = load_quadrature_records(args.thermal, columns=columns, label="thermal")
-    vacuum = load_quadrature_records(args.vacuum, columns=columns, label="vacuum")
+    thermal = load_quadrature_records(args.thermal, columns=columns)
+    vacuum = load_quadrature_records(args.vacuum, columns=columns)
 
     cal = calibrate_photon_number(thermal, vacuum, det_a)
     snu = thermal.in_snu(cal.shot_variance)

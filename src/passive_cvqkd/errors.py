@@ -23,7 +23,3 @@ class DegenerateDataError(ValueError):
 
 class UnitError(ValueError):
     """Records are in the wrong or mismatched units for the requested operation."""
-
-
-class TrackingDisabledError(RuntimeError):
-    """A simulation-only ground-truth quantity was requested but not tracked."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, RecordFormatError, UnitError
-from .gaussian import DetectorModel, RngStream, _generator
+from .gaussian import DetectorModel, RngStream
 
 __all__ = [
     "CalibrationResult",
@@ -50,7 +50,6 @@ class QuadratureRecord:
 
     samples: np.ndarray
     unit_flag: str = UNIT_RAW
-    label: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -86,7 +85,6 @@ class QuadratureRecord:
 def load_quadrature_records(
     path: str,
     columns: tuple[str, str] | None = None,
-    label: str = "",
 ) -> QuadratureRecord:
     """Parse a CSV file of paired quadrature outcomes, in raw units.
 
@@ -116,7 +114,7 @@ def load_quadrature_records(
     samples = _load_plain(path, columns) if _is_plain(path) else None
     if samples is None:
         samples = _scan(path, columns)
-    return QuadratureRecord(samples, unit_flag=UNIT_RAW, label=label or path)
+    return QuadratureRecord(samples, unit_flag=UNIT_RAW)
 
 
 def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, path: str) -> tuple[bool, int, int]:
@@ -304,7 +302,7 @@ def g2_estimate(
     record: QuadratureRecord,
     n_boot: int = 200,
     min_samples: int = 10_000,
-    rng: int | RngStream | np.random.Generator = 0,
+    rng: int = 0,
 ) -> G2Result:
     """Second-order intensity correlation from calibrated samples.
 
@@ -318,7 +316,7 @@ def g2_estimate(
             estimator is not scale invariant).
         n_boot: bootstrap resamples for the standard error.
         min_samples: required record length.
-        rng: seed, stream, or generator for the bootstrap.
+        rng: seed of the bootstrap's random stream.
 
     Raises:
         UnitError: the record is not calibrated to SNU.
@@ -344,7 +342,7 @@ def g2_estimate(
             f"mean of Z is {mean_z:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
         )
 
-    g = RngStream(int(rng)).generator() if isinstance(rng, (int, np.integer)) else _generator(rng)
+    g = RngStream(rng).generator()
     boots = []
     for _ in range(n_boot):
         zb = z[g.integers(0, n, n)]
@@ -367,26 +365,26 @@ def g2_estimate(
 def export_histogram(
     record: QuadratureRecord,
     path: str | None = None,
-    bins: int = HISTOGRAM_BINS,
-    span_sigmas: float = HISTOGRAM_SPAN_SIGMAS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fixed-binning 2-D histogram of a record, optionally written as CSV.
 
-    The range is symmetric, ``span_sigmas`` standard deviations of the
-    pooled per-quadrature spread on each side of zero.  The CSV carries
+    ``HISTOGRAM_BINS`` bins per axis span a symmetric range,
+    ``HISTOGRAM_SPAN_SIGMAS`` standard deviations of the pooled
+    per-quadrature spread on each side of zero.  The CSV carries
     one row per bin with the bin-center coordinates: ``bin_x,bin_p,count``.
 
     Returns:
-        ``(counts, x_edges, p_edges)`` with counts shaped (bins, bins).
+        ``(counts, x_edges, p_edges)`` with counts shaped
+        ``(HISTOGRAM_BINS, HISTOGRAM_BINS)``.
     """
     s = record.pooled_variance()
     if s <= 0.0:
         raise DegenerateDataError("record has zero spread; histogram range is empty")
-    half = span_sigmas * math.sqrt(s)
+    half = HISTOGRAM_SPAN_SIGMAS * math.sqrt(s)
     counts, x_edges, p_edges = np.histogram2d(
         record.samples[:, 0],
         record.samples[:, 1],
-        bins=bins,
+        bins=HISTOGRAM_BINS,
         range=[[-half, half], [-half, half]],
     )
     if path is not None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParameterError, PhysicalityError
 from .gaussian import DetectorModel
-from .noise import ChannelModel, ProtocolParams, channel_transmittance, total_noise
+from .noise import ChannelModel, ProtocolParams, total_noise
 
 __all__ = [
     "KeyRateReport",
@@ -36,6 +36,10 @@ DISCRIMINANT_TOL = 1e-9
 EIGENVALUE_TOL = 1e-9
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Modulation search: points of the logarithmic coarse scan, and the
+# relative bracket width at which the golden-section refinement stops.
+COARSE_POINTS = 256
+REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -170,9 +174,8 @@ def secure_key_rate(
 ) -> KeyRateReport:
     """Evaluate the asymptotic secure key rate for one configuration."""
     budget = total_noise(params, det_a, det_b, ch)
-    t = channel_transmittance(ch)
     i_ab = mutual_information(params.v_a, budget.chi_tot)
-    chi_be, lambdas = holevo_bound(params.v_a, t, budget.chi_line, budget.chi_het)
+    chi_be, lambdas = holevo_bound(params.v_a, budget.t, budget.chi_line, budget.chi_het)
     rate_raw = params.f * i_ab - chi_be
     return KeyRateReport(
         i_ab=i_ab,
@@ -204,15 +207,13 @@ def optimize_modulation(
     f: float = 0.95,
     eps0: float = 0.01,
     bounds: tuple[float, float] | None = None,
-    coarse_points: int = 256,
-    rel_tol: float = 1e-6,
 ) -> ModulationOptimum:
     """Maximize the key rate over the modulation variance.
 
-    A logarithmic coarse scan guards against multimodality, then a
-    golden-section refinement narrows the bracket around the best coarse
-    point to relative tolerance ``rel_tol``.  Near-ties resolve toward
-    the smaller modulation variance.
+    A logarithmic coarse scan of ``COARSE_POINTS`` points guards against
+    multimodality, then a golden-section refinement narrows the bracket
+    around the best coarse point to relative width ``REL_TOL``.  Near-ties
+    resolve toward the smaller modulation variance.
 
     Args:
         n0: source mean photon number (upper limit on the variance).
@@ -226,8 +227,6 @@ def optimize_modulation(
     lo, hi = bounds
     if not (0.0 < lo <= hi <= n0):
         raise ParameterError(f"bounds {bounds} must satisfy 0 < lo <= hi <= n0 = {n0}")
-    if coarse_points < 2:
-        raise ParameterError(f"coarse_points must be >= 2, got {coarse_points}")
 
     def rate_raw(v_a: float) -> float:
         params = ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0)
@@ -236,7 +235,7 @@ def optimize_modulation(
     if lo == hi:
         grid = np.array([lo])
     else:
-        grid = np.geomspace(lo, hi, coarse_points)
+        grid = np.geomspace(lo, hi, COARSE_POINTS)
     values = [rate_raw(v) for v in grid]
     best = int(np.argmax(values))  # argmax takes the first, i.e. smallest v_a
 
@@ -248,7 +247,7 @@ def optimize_modulation(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     rc, rd = rate_raw(c), rate_raw(d)
-    while b - a > rel_tol * b:
+    while b - a > REL_TOL * b:
         if rc > rd:
             b, d, rd = d, c, rc
             c = b - _INV_PHI * (b - a)

@@ -93,7 +93,8 @@ class NoiseBudget:
     ``eps_a``: preparation excess noise; ``eps_e``: total untrusted excess
     noise; ``chi_het``: receiver-added noise referred to the receiver
     input; ``chi_line``: channel-added noise referred to the channel
-    input; ``chi_tot = chi_line + chi_het / T``.
+    input; ``chi_tot = chi_line + chi_het / t``; ``t``: the channel
+    transmittance these were computed with, after the ``T_FLOOR`` clamp.
     """
 
     eps_a: float
@@ -101,6 +102,7 @@ class NoiseBudget:
     chi_het: float
     chi_line: float
     chi_tot: float
+    t: float
 
 
 def _prep_excess(eta_a: float, det: DetectorModel) -> float:
@@ -166,4 +168,4 @@ def total_noise(
     chi_line = 1.0 / t - 1.0 + eps_e
     chi_het = heterodyne_noise(det_b)
     chi_tot = chi_line + chi_het / t
-    return NoiseBudget(eps_a=eps_a, eps_e=eps_e, chi_het=chi_het, chi_line=chi_line, chi_tot=chi_tot)
+    return NoiseBudget(eps_a=eps_a, eps_e=eps_e, chi_het=chi_het, chi_line=chi_line, chi_tot=chi_tot, t=t)

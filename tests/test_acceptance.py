@@ -142,15 +142,13 @@ def test_criterion_5_g2_pipeline():
             2.0
             * heterodyne_measure(
                 sample_thermal_quadratures(800.0, count, RngStream(97, 0)), det, RngStream(97, 1)
-            ),
-            label="thermal",
+            )
         )
         vacuum = QuadratureRecord(
             2.0
             * heterodyne_measure(
                 sample_thermal_quadratures(0.0, count, RngStream(97, 2)), det, RngStream(97, 3)
-            ),
-            label="vacuum",
+            )
         )
         cal = calibrate_photon_number(thermal, vacuum, det)
         assert abs(cal.n_hat - 800.0) / 800.0 < 0.02

@@ -1,10 +1,15 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from passive_cvqkd import DetectorModel, RngStream, heterodyne_measure, sample_thermal_quadratures
+from passive_cvqkd import DetectorModel, ParameterError, RngStream, heterodyne_measure, sample_thermal_quadratures
 from passive_cvqkd.cli import (
+    _MAX_AXIS_POINTS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_IO,
@@ -28,6 +33,39 @@ def write_records(tmp_path, n_mean=50.0, det=DetectorModel(0.5, 0.35), count=20_
     return str(th_path), str(va_path)
 
 
+_AXIS_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**7), 10**7).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e308", "1e-308", "1e-9", "1e9", "0", ""]),
+)
+
+
+@st.composite
+def axis_texts(draw):
+    """Numbers, inf and nan joined by ':' and ','."""
+    values = draw(st.lists(_AXIS_NUMBERS, min_size=1, max_size=4))
+    seps = draw(st.lists(st.sampled_from(":,"), min_size=len(values) - 1, max_size=len(values) - 1))
+    return values[0] + "".join(sep + value for sep, value in zip(seps, values[1:]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(axis_texts())
+@example("0:inf:1")
+@example("0:1e308:1e-308")
+@example("0:1e9:1e-9")
+@example("nan:1:1")
+@example("0:1:nan")
+@example("1,nan")
+@example("0:1.7976931348623157e+308:8.988465676558696e+307")
+def test_axis_is_bounded_and_finite_or_a_parameter_error(text):
+    try:
+        points = parse_axis(text)
+    except ParameterError:
+        return
+    assert len(points) <= _MAX_AXIS_POINTS
+    assert all(isinstance(p, float) and math.isfinite(p) for p in points)
+
+
 class TestParsing:
     def test_axis_range_is_inclusive(self):
         assert parse_axis("0:100:1") == [float(v) for v in range(101)]
@@ -38,8 +76,6 @@ class TestParsing:
         assert parse_axis("12.5") == [12.5]
 
     def test_axis_errors(self):
-        from passive_cvqkd import ParameterError
-
         with pytest.raises(ParameterError):
             parse_axis("")
         with pytest.raises(ParameterError):
@@ -49,6 +85,24 @@ class TestParsing:
         for text in ("abc", "0:abc:1", "1,x"):
             with pytest.raises(ParameterError, match="numeric"):
                 parse_axis(text)
+        for text in ("inf", "1,nan", "0:inf:1", "nan:1:1", "0:1:nan"):
+            with pytest.raises(ParameterError, match="finite"):
+                parse_axis(text)
+        for text in ("0:1e308:1e-308", "0:1e9:1e-9", "-1e308:1e308:1", f"0:{_MAX_AXIS_POINTS}:1"):
+            with pytest.raises(ParameterError, match="points"):
+                parse_axis(text)
+        with pytest.raises(ParameterError, match="largest float"):
+            parse_axis("0:1.7976931348623157e+308:8.988465676558696e+307")
+
+    def test_axis_range_may_have_the_maximum_point_count(self):
+        points = parse_axis(f"0:{_MAX_AXIS_POINTS - 1}:1")
+        assert len(points) == _MAX_AXIS_POINTS
+        assert points[-1] == _MAX_AXIS_POINTS - 1
+
+    @pytest.mark.parametrize("length", ["0:1e9:1e-9", "0:inf:1", "0:1:nan"])
+    def test_unbounded_axis_is_usage_error(self, length, capsys):
+        assert main(["sweep", "--n0", "100", "--length", length]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -74,8 +128,6 @@ class TestParsing:
     def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"gamma=0.2\xff\n")
-        from passive_cvqkd import ParameterError
-
         with pytest.raises(ParameterError, match="UTF-8"):
             parse_config_file(str(cfg))
         assert main(["optimize", "--config", str(cfg), "--n0", "100", "--length", "5"]) == EXIT_CONFIG
@@ -84,8 +136,6 @@ class TestParsing:
     def test_config_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gama=0.2\n")
-        from passive_cvqkd import ParameterError
-
         with pytest.raises(ParameterError, match="gama"):
             parse_config_file(str(cfg))
 

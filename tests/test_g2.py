@@ -39,8 +39,8 @@ def synthetic_records(n_mean, det, count, seed, scale=1.0):
         sample_thermal_quadratures(0.0, count, RngStream(seed, 2)), det, RngStream(seed, 3)
     )
     return (
-        QuadratureRecord(thermal * scale, label="thermal"),
-        QuadratureRecord(vacuum * scale, label="vacuum"),
+        QuadratureRecord(thermal * scale),
+        QuadratureRecord(vacuum * scale),
     )
 
 

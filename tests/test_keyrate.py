@@ -1,5 +1,7 @@
 """Mutual information, Holevo bound, and the modulation optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from passive_cvqkd import (
     DetectorModel,
     ParameterError,
     ProtocolParams,
+    TransmittanceFloorWarning,
     g_function,
     holevo_bound,
     mutual_information,
@@ -169,6 +172,13 @@ class TestSecureKeyRate:
         assert report.chi_be >= 0.0
         assert report.rate_raw == params.f * report.i_ab - report.chi_be
         assert report.rate == max(report.rate_raw, 0.0)
+
+    def test_clamped_transmittance_warns_once(self):
+        params = ProtocolParams(n0=500.0, v_a=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            secure_key_rate(params, REF_DET, REF_DET, ChannelModel(0.2, 800.0))
+        assert [w.category for w in caught] == [TransmittanceFloorWarning]
 
 
 class TestOptimizeModulation:

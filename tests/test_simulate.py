@@ -14,7 +14,6 @@ from passive_cvqkd import (
     ProtocolParams,
     RngStream,
     SimConfig,
-    TrackingDisabledError,
     alice_uncertainty,
     beamsplitter,
     channel_transmittance,
@@ -136,13 +135,6 @@ class TestEstimateError:
         ratio = small.delta_stderr / large.delta_stderr
         assert abs(ratio - math.sqrt(2.0)) < 0.2 * math.sqrt(2.0)
 
-    def test_tracking_disabled(self):
-        cfg = make_config(count=1000, track_internal=False)
-        summary = run_protocol(cfg)
-        assert summary.delta_hat is None
-        with pytest.raises(TrackingDisabledError):
-            estimate_excess_noise(summary)
-
 
 class TestMomentMatrix:
     @pytest.mark.parametrize(
@@ -225,6 +217,63 @@ class TestDeterminism:
         a = run_protocol(make_config(count=40_000, partitions=1, seed=19))
         b = run_protocol(make_config(count=40_000, partitions=2, seed=19))
         assert not np.array_equal(a.moments, b.moments)
+
+    def test_plain_summation_matches_exact_sums(self):
+        # Several chunks per partition and a merge of two partitions: the
+        # moments must agree with an exactly rounded sum of the same chunk
+        # products far below their statistical error.
+        cfg = make_config(count=5 * _CHUNK + 17, partitions=2, seed=28)
+        summary = run_protocol(cfg)
+        t = channel_transmittance(cfg.channel)
+        products = []
+        for index, n_rounds in enumerate((cfg.count - cfg.count // 2, cfg.count // 2)):
+            g = RngStream(cfg.master_seed, index).generator()
+            bufs = _chunk_buffers(_CHUNK)
+            for done in range(0, n_rounds, _CHUNK):
+                v4, _, _ = _chunk(cfg, t, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
+                products.append(v4.T @ v4)
+        assert len(products) == 6
+        exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(4)] for i in range(4)]) / cfg.count
+        diag = np.diag(exact)
+        assert np.all(np.abs(summary.moments - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
+
+
+class TestPool:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """Pool sizes asked for; the stand-in executor maps in-process and starts no process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("passive_cvqkd.simulate.ProcessPoolExecutor", InProcessPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "count, partitions, workers, expected",
+        [(1000, 2, 5000, [2]), (1000, 4, 3, [3]), (2, 5, 8, [2]), (1000, 3, 1, []), (1000, 1, 4, [])],
+    )
+    def test_pool_is_no_larger_than_the_partition_count(self, sizes, count, partitions, workers, expected):
+        cfg = make_config(count=count, partitions=partitions, seed=29)
+        pooled = run_protocol(cfg, workers=workers)
+        assert sizes == expected
+        assert np.array_equal(pooled.moments, run_protocol(cfg).moments)
+
+    def test_cli_workers_above_partitions(self, sizes):
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000"]
+        assert main(argv + ["--partitions", "2", "--workers", "5000"]) == 0
+        assert sizes == [2]
 
 
 class TestDump:
