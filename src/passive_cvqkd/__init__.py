@@ -43,8 +43,6 @@ from .noise import (
     NoiseBudget,
     ProtocolParams,
     TransmittanceFloorWarning,
-    alice_uncertainty,
-    channel_transmittance,
     excess_noise_alice,
     heterodyne_noise,
     total_noise,
@@ -53,7 +51,6 @@ from .simulate import (
     SimConfig,
     SimSummary,
     empirical_mutual_information,
-    estimate_excess_noise,
     run_protocol,
 )
 
@@ -78,12 +75,9 @@ __all__ = [
     "SimSummary",
     "TransmittanceFloorWarning",
     "UnitError",
-    "alice_uncertainty",
     "beamsplitter",
     "calibrate_photon_number",
-    "channel_transmittance",
     "empirical_mutual_information",
-    "estimate_excess_noise",
     "excess_noise_alice",
     "export_histogram",
     "g2_estimate",

@@ -25,13 +25,12 @@ from .errors import (
 from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
 from .gaussian import DetectorModel
 from .keyrate import ModulationOptimum, mutual_information, optimize_modulation, secure_key_rate
-from .noise import ChannelModel, ProtocolParams, alice_uncertainty, excess_noise_alice, total_noise
+from .noise import ChannelModel, ProtocolParams, total_noise
 from .simulate import (
     SimConfig,
     analytic_moments,
     empirical_mi_stderr,
     empirical_mutual_information,
-    estimate_excess_noise,
     run_protocol,
 )
 
@@ -241,9 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n0 = _single(parse_axis(settings["n0"]), "n0")
     length = _single(parse_axis(settings["length"]), "length")
     va = _float_setting(settings, "va") if settings["va"] else 1.0
-    params = ProtocolParams(
-        n0=n0, v_a=va, f=_float_setting(settings, "f"), eps0=_float_setting(settings, "eps0")
-    )
+    params = ProtocolParams(n0=n0, v_a=va, eps0=_float_setting(settings, "eps0"))
     ch = ChannelModel(_float_setting(settings, "gamma"), length)
     cfg = SimConfig(
         params=params,
@@ -265,11 +262,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"seed={cfg.master_seed}",
         f"partitions={cfg.partitions}",
     ]
-    eps_hat, eps_err = estimate_excess_noise(summary)
-    lines += _verdict_lines("eps_A", excess_noise_alice(params, det_a), eps_hat, eps_err)
-    lines += _verdict_lines("delta", alice_uncertainty(params.eta_a, det_a), summary.delta_hat, summary.delta_stderr)
-
     budget = total_noise(params, det_a, det_b, ch)
+    # Alice's error on the outgoing quadrature is the preparation noise
+    # plus the vacuum unit of the outgoing mode.
+    lines += _verdict_lines("eps_A", budget.eps_a, summary.delta_hat - 1.0, summary.delta_stderr)
+    lines += _verdict_lines("delta", budget.eps_a + 1.0, summary.delta_hat, summary.delta_stderr)
     try:
         mi_emp = empirical_mutual_information(summary)
         lines += _verdict_lines("I_AB", mutual_information(va, budget.chi_tot), mi_emp, empirical_mi_stderr(summary))
@@ -367,21 +364,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--gamma", type=float, help="fiber attenuation, dB/km")
-    common.add_argument("--eps0", type=float, help="residual untrusted excess noise, SNU")
-    common.add_argument("--v-el", dest="v_el", type=float, help="receiver electronic noise, SNU")
-    common.add_argument("--eta-d", dest="eta_d", type=float, help="receiver efficiency")
-    common.add_argument("--f", type=float, help="reconciliation efficiency")
-    common.add_argument("--n0", help="source photon number(s): value or comma list")
-    common.add_argument("--va", type=float, help="fixed modulation variance (default: optimize)")
-    common.add_argument("--length", help="fiber length(s) km: value, comma list, or start:stop:step")
-    common.add_argument("--count", type=int, help="simulation rounds")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--out", help="output path (default: stdout)")
+# Flag, type and help of each setting; a subcommand offers flags only for
+# the settings it reads.
+_SETTING_FLAGS = {
+    "gamma": ("--gamma", float, "fiber attenuation, dB/km"),
+    "eps0": ("--eps0", float, "residual untrusted excess noise, SNU"),
+    "v_el": ("--v-el", float, "receiver electronic noise, SNU"),
+    "eta_d": ("--eta-d", float, "receiver efficiency"),
+    "f": ("--f", float, "reconciliation efficiency"),
+    "n0": ("--n0", None, "source photon number(s): value or comma list"),
+    "va": ("--va", float, "fixed modulation variance (default: optimize)"),
+    "length": ("--length", None, "fiber length(s) km: value, comma list, or start:stop:step"),
+    "count": ("--count", int, "simulation rounds"),
+    "seed": ("--seed", int, "master seed"),
+    "partitions": ("--partitions", int, "independent random streams to merge"),
+    "workers": ("--workers", int, "processes for partition execution"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passive-cvqkd",
         description="Key-rate sweeps, protocol simulation, and quadrature-record "
@@ -389,26 +390,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="key-rate CSV over an (n0, length) grid")
-    p_sweep.set_defaults(func=cmd_sweep)
+    def command(name, func, keys, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="flat key=value config file")
+        for key in keys.split():
+            flag, type_, help_ = _SETTING_FLAGS[key]
+            p.add_argument(flag, dest=key, type=type_, help=help_)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(func=func)
+        return p
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo run vs closed-form report")
-    p_sim.add_argument("--partitions", type=int, help="independent random streams to merge")
-    p_sim.add_argument("--workers", type=int, help="processes for partition execution")
+    command("sweep", cmd_sweep, "gamma eps0 v_el eta_d f n0 va length", "key-rate CSV over an (n0, length) grid")
+    p_sim = command(
+        "simulate",
+        cmd_simulate,
+        "gamma eps0 v_el eta_d n0 va length count seed partitions workers",
+        "Monte Carlo run vs closed-form report",
+    )
     p_sim.add_argument("--dump", help="write raw per-round samples to this CSV")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_an = sub.add_parser("analyze", parents=[common], help="calibrate and characterize quadrature records")
+    p_an = command("analyze", cmd_analyze, "v_el eta_d seed", "calibrate and characterize quadrature records")
     p_an.add_argument("thermal", help="CSV of thermal-input outcomes")
     p_an.add_argument("vacuum", help="CSV of vacuum-input outcomes")
     p_an.add_argument("--columns", help="two header names to use as x,p (e.g. xA,pA)")
     p_an.add_argument("--histogram", help="write a 2-D histogram CSV of the calibrated record")
     p_an.add_argument("--n-boot", dest="n_boot", type=int, default=200, help="bootstrap resamples")
     p_an.add_argument("--min-samples", dest="min_samples", type=int, default=10_000, help="record-length floor for g2")
-    p_an.set_defaults(func=cmd_analyze)
 
-    p_opt = sub.add_parser("optimize", parents=[common], help="optimize modulation variance at one point")
-    p_opt.set_defaults(func=cmd_optimize)
+    command("optimize", cmd_optimize, "gamma eps0 v_el eta_d f n0 length", "optimize modulation variance at one point")
     return parser
 
 

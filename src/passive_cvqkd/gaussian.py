@@ -54,14 +54,6 @@ class RngStream:
         return np.random.default_rng(seq)
 
 
-def _generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ParameterError(f"rng must be an RngStream or numpy Generator, got {type(rng).__name__}")
-
-
 @dataclass(frozen=True)
 class DetectorModel:
     """Conjugate-homodyne receiver: efficiency and electronic-noise variance (SNU)."""
@@ -81,9 +73,7 @@ def _check_finite(samples: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} contains NaN or Inf values")
 
 
-def sample_thermal_quadratures(
-    n_mean: float, count: int, rng: RngStream | np.random.Generator
-) -> np.ndarray:
+def sample_thermal_quadratures(n_mean: float, count: int, rng: RngStream) -> np.ndarray:
     """Draw quadrature pairs of a thermal mode.
 
     Both quadratures are independent zero-mean Gaussians with variance
@@ -92,7 +82,7 @@ def sample_thermal_quadratures(
     Args:
         n_mean: mean photon number, >= 0.
         count: number of pairs to draw, >= 1.
-        rng: stream or generator supplying the randomness.
+        rng: stream supplying the randomness.
 
     Returns:
         Array of shape ``(count, 2)`` with columns ``(x, p)``.
@@ -101,7 +91,7 @@ def sample_thermal_quadratures(
         raise ParameterError(f"mean photon number must be finite and >= 0, got {n_mean}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    return _thermal(n_mean, _generator(rng), np.empty((int(count), 2)))
+    return _thermal(n_mean, rng.generator(), np.empty((int(count), 2)))
 
 
 def _thermal(n_mean: float, g: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -154,7 +144,7 @@ def _split(a, b, t: float, port: int = 0, out=None, tmp=None):
 def heterodyne_measure(
     samples: np.ndarray,
     det: DetectorModel,
-    rng: RngStream | np.random.Generator,
+    rng: RngStream,
 ) -> np.ndarray:
     """Conjugate-homodyne measurement of both quadratures of a mode.
 
@@ -172,14 +162,14 @@ def heterodyne_measure(
     Args:
         samples: quadrature pairs or batch, shape ``(..., 2)``.
         det: receiver model.
-        rng: stream or generator for the vacuum and electronic noise.
+        rng: stream for the vacuum and electronic noise.
 
     Returns:
         Measured quadrature pairs, same shape as ``samples``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     _check_finite(samples, "samples")
-    return _heterodyne(samples, det, _generator(rng))
+    return _heterodyne(samples, det, rng.generator())
 
 
 def _heterodyne(samples: np.ndarray, det: DetectorModel, g: np.random.Generator, out=None, tmp=None):

@@ -117,7 +117,7 @@ def holevo_bound(
     Returns:
         ``(chi_be, lambdas)`` with ``chi_be`` in bits per channel use and
         the five symplectic eigenvalues, largest of each pair first; the
-        fifth is identically 1.
+        fifth is identically 1, so its term ``g(0) = 0`` is left out.
 
     Raises:
         PhysicalityError: if a discriminant or eigenvalue violates
@@ -161,7 +161,6 @@ def holevo_bound(
         + g_function(max(lam2 - 1.0, 0.0) / 2.0)
         - g_function(max(lam3 - 1.0, 0.0) / 2.0)
         - g_function(max(lam4 - 1.0, 0.0) / 2.0)
-        - g_function(0.0)
     )
     return chi_be, lambdas
 
@@ -175,7 +174,7 @@ def secure_key_rate(
     """Evaluate the asymptotic secure key rate for one configuration."""
     budget = total_noise(params, det_a, det_b, ch)
     i_ab = mutual_information(params.v_a, budget.chi_tot)
-    chi_be, lambdas = holevo_bound(params.v_a, budget.t, budget.chi_line, budget.chi_het)
+    chi_be, lambdas = holevo_bound(params.v_a, ch.t, budget.chi_line, budget.chi_het)
     rate_raw = params.f * i_ab - chi_be
     return KeyRateReport(
         i_ab=i_ab,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .gaussian import DetectorModel
@@ -21,8 +21,6 @@ __all__ = [
     "NoiseBudget",
     "ProtocolParams",
     "TransmittanceFloorWarning",
-    "alice_uncertainty",
-    "channel_transmittance",
     "excess_noise_alice",
     "heterodyne_noise",
     "total_noise",
@@ -74,16 +72,32 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Telecom fiber of attenuation ``gamma_db_km`` (dB/km) and length (km)."""
+    """Telecom fiber of attenuation ``gamma_db_km`` (dB/km) and length (km).
+
+    ``t`` is its power transmittance ``10 ** (-gamma L / 10)``, computed
+    once here and floored at ``T_FLOOR``; a clamp warns at the line that
+    built the channel.
+    """
 
     gamma_db_km: float
     length_km: float
+    t: float = field(init=False)
 
     def __post_init__(self):
         if not (self.gamma_db_km >= 0.0 and math.isfinite(self.gamma_db_km)):
             raise ParameterError(f"attenuation coefficient must be >= 0, got {self.gamma_db_km}")
         if not (self.length_km >= 0.0 and math.isfinite(self.length_km)):
             raise ParameterError(f"fiber length must be >= 0, got {self.length_km}")
+        t = 10.0 ** (-self.gamma_db_km * self.length_km / 10.0)
+        if t < T_FLOOR:
+            # Above this frame: the generated __init__, then the caller.
+            warnings.warn(
+                f"transmittance {t:.3g} below floor {T_FLOOR:g}; clamping",
+                TransmittanceFloorWarning,
+                stacklevel=3,
+            )
+            t = T_FLOOR
+        object.__setattr__(self, "t", t)
 
 
 @dataclass(frozen=True)
@@ -93,8 +107,8 @@ class NoiseBudget:
     ``eps_a``: preparation excess noise; ``eps_e``: total untrusted excess
     noise; ``chi_het``: receiver-added noise referred to the receiver
     input; ``chi_line``: channel-added noise referred to the channel
-    input; ``chi_tot = chi_line + chi_het / t``; ``t``: the channel
-    transmittance these were computed with, after the ``T_FLOOR`` clamp.
+    input; ``chi_tot = chi_line + chi_het / t`` with ``t`` the channel's
+    transmittance.
     """
 
     eps_a: float
@@ -102,46 +116,17 @@ class NoiseBudget:
     chi_het: float
     chi_line: float
     chi_tot: float
-    t: float
-
-
-def _prep_excess(eta_a: float, det: DetectorModel) -> float:
-    # Shared by alice_uncertainty and excess_noise_alice so that the
-    # identity "uncertainty == excess + 1" holds bit-exactly.
-    return (2.0 * eta_a / det.eta_d) * (1.0 + det.v_el - det.eta_d / 2.0)
-
-
-def alice_uncertainty(eta_a: float, det: DetectorModel) -> float:
-    """Variance of Alice's error when estimating the outgoing quadrature.
-
-    Returns ``(2 eta_a / eta_d) (1 + v_el - eta_d / 2) + 1``; the trailing
-    1 is the vacuum unit carried by the outgoing mode itself.
-    """
-    if not (0.0 <= eta_a <= 1.0):
-        raise ParameterError(f"attenuator transmittance must be in [0, 1], got {eta_a}")
-    return _prep_excess(eta_a, det) + 1.0
 
 
 def excess_noise_alice(params: ProtocolParams, det: DetectorModel) -> float:
     """Preparation excess noise ``(2 v_a / (n0 eta_d)) (1 + v_el - eta_d / 2)``.
 
     Linear in ``v_a`` and inversely proportional to the source brightness,
-    which is why a bright source tolerates a noisy local receiver.
+    which is why a bright source tolerates a noisy local receiver.  One
+    more vacuum unit gives the variance of Alice's error on the outgoing
+    quadrature.
     """
-    return _prep_excess(params.eta_a, det)
-
-
-def channel_transmittance(ch: ChannelModel) -> float:
-    """Power transmittance ``10 ** (-gamma L / 10)``, floored at ``T_FLOOR``."""
-    t = 10.0 ** (-ch.gamma_db_km * ch.length_km / 10.0)
-    if t < T_FLOOR:
-        warnings.warn(
-            f"transmittance {t:.3g} below floor {T_FLOOR:g}; clamping",
-            TransmittanceFloorWarning,
-            stacklevel=2,
-        )
-        return T_FLOOR
-    return t
+    return (2.0 * params.eta_a / det.eta_d) * (1.0 + det.v_el - det.eta_d / 2.0)
 
 
 def heterodyne_noise(det: DetectorModel) -> float:
@@ -164,8 +149,7 @@ def total_noise(
     """
     eps_a = excess_noise_alice(params, det_a)
     eps_e = eps_a + params.eps0
-    t = channel_transmittance(ch)
-    chi_line = 1.0 / t - 1.0 + eps_e
+    chi_line = 1.0 / ch.t - 1.0 + eps_e
     chi_het = heterodyne_noise(det_b)
-    chi_tot = chi_line + chi_het / t
-    return NoiseBudget(eps_a=eps_a, eps_e=eps_e, chi_het=chi_het, chi_line=chi_line, chi_tot=chi_tot, t=t)
+    chi_tot = chi_line + chi_het / ch.t
+    return NoiseBudget(eps_a=eps_a, eps_e=eps_e, chi_het=chi_het, chi_line=chi_line, chi_tot=chi_tot)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
 from .gaussian import DetectorModel, RngStream, _heterodyne, _split, _thermal
-from .noise import ChannelModel, ProtocolParams, channel_transmittance
+from .noise import ChannelModel, ProtocolParams
 
 __all__ = [
     "SimConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "analytic_moments",
     "empirical_mi_stderr",
     "empirical_mutual_information",
-    "estimate_excess_noise",
     "run_protocol",
 ]
 
@@ -94,8 +93,8 @@ def _chunk_buffers(m: int) -> list[np.ndarray]:
     return [np.empty((m, 4))] + [np.empty((m, 2)) for _ in range(4)]
 
 
-def _chunk(cfg: SimConfig, t: float, g: np.random.Generator, block, out, src, mod2, tmp):
-    """Draw ``len(block)`` rounds through a channel of transmittance ``t``, in place.
+def _chunk(cfg: SimConfig, g: np.random.Generator, block, out, src, mod2, tmp):
+    """Draw ``len(block)`` rounds of ``cfg`` in place.
 
     Returns ``block`` filled with the ``(x_A, p_A, x_B, p_B)`` rows, Alice's
     estimate (a contiguous copy of its first two columns, in ``mod2``) and
@@ -106,7 +105,7 @@ def _chunk(cfg: SimConfig, t: float, g: np.random.Generator, block, out, src, mo
     # Each splitter arm gets its own vacuum admixture, so the noise on
     # Alice's estimate is independent of the noise on the outgoing
     # mode; this is the preparation model whose estimate-error
-    # variance is alice_uncertainty().  Only the arm each splitter
+    # variance is excess_noise_alice() + 1.  Only the arm each splitter
     # passes on is computed.
     _split(src, g.standard_normal(out=tmp), 0.5, out=out, tmp=tmp)
     _split(g.standard_normal(out=mod2), src, 0.5, port=1, out=mod2, tmp=tmp)
@@ -116,7 +115,7 @@ def _chunk(cfg: SimConfig, t: float, g: np.random.Generator, block, out, src, mo
     # Channel excess noise is injected at the channel input.
     received = np.multiply(g.standard_normal(out=src), math.sqrt(params.eps0), out=src)
     received += out
-    _split(received, g.standard_normal(out=tmp), t, out=received, tmp=tmp)
+    _split(received, g.standard_normal(out=tmp), cfg.channel.t, out=received, tmp=tmp)
     _heterodyne(received, det_b, g, out=received, tmp=tmp)
     # As complex128 each (x, p) pair is one element, so each half of the
     # block is filled in one strided pass, not in one call per pair.
@@ -147,7 +146,6 @@ def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, p
     With ``part_path`` the partition's rounds are also written there as
     dump rows numbered from ``first_row``, one chunk at a time.
     """
-    t = channel_transmittance(cfg.channel)
     g = RngStream(cfg.master_seed, index).generator()
     moments = np.zeros((4, 4))
     d2_sum = d4_sum = 0.0
@@ -158,7 +156,7 @@ def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, p
     with dump as fh, np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_rounds, _CHUNK):
             m = min(_CHUNK, n_rounds - done)
-            v4, est, out = _chunk(cfg, t, g, *(b[:m] for b in bufs))
+            v4, est, out = _chunk(cfg, g, *(b[:m] for b in bufs))
             moments += v4.T @ v4
             d2 = np.square(np.subtract(est, out, out=out), out=out)
             d2_sum += d2.sum()
@@ -166,6 +164,14 @@ def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, p
             if fh is not None:
                 _write_rows(fh, v4, first_row + done)
     return moments, d2_sum, d4_sum
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface on this platform
+        return os.cpu_count() or 1
 
 
 def run_protocol(
@@ -187,7 +193,8 @@ def run_protocol(
             run fails.  Memory stays O(chunk), not O(count), and the
             bytes do not depend on ``workers``.
         workers: process count for parallel partitions; None or 1 runs
-            sequentially.
+            sequentially.  The pool is no larger than the number of
+            partitions run or of CPUs this process may use.
 
     Returns:
         SimSummary with the moments and the estimate-error statistics.
@@ -205,10 +212,11 @@ def run_protocol(
             stack.callback(shutil.rmtree, tmp, ignore_errors=True)
             parts = [os.path.join(tmp, f"part{k}.csv") for k in range(len(counts))]
         mapper = map
-        if workers is not None and workers > 1 and len(counts) > 1:
-            # The pool forks all its workers at once; more than one per
-            # partition would sit idle.
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, len(counts)))).map
+        # The pool forks all its workers at once; more than one per
+        # partition or per usable CPU would sit idle.
+        pool_size = min(workers or 1, len(counts), _usable_cpus())
+        if pool_size > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size)).map
         results = list(mapper(_partition_sums, itertools.repeat(cfg), range(len(counts)), counts, first_rows, parts))
         if dump_path is not None:
             dump.write(DUMP_HEADER.encode() + b"\n")
@@ -230,11 +238,6 @@ def run_protocol(
     delta_hat = float(d2_sum / n_q)
     var_d2 = max(float(d4_sum / n_q) - delta_hat**2, 0.0)
     return SimSummary(n, second, stderr, delta_hat, math.sqrt(var_d2 / n_q))
-
-
-def estimate_excess_noise(summary: SimSummary) -> tuple[float, float]:
-    """Empirical preparation excess noise with its standard error."""
-    return summary.delta_hat - 1.0, summary.delta_stderr
 
 
 def _block_mi_bits(var_a: float, var_b: float, cov: float) -> float:
@@ -288,11 +291,10 @@ def analytic_moments(
     the receiver outcome sees the attenuated modulation plus channel
     excess noise through the trusted detector.
     """
-    t = channel_transmittance(ch)
     eta_a = params.eta_a
     var_a = params.v_a + (2.0 * eta_a / det_a.eta_d) * (1.0 + det_a.v_el)
-    var_b = 0.5 * det_b.eta_d * t * (params.v_a + params.eps0) + 1.0 + det_b.v_el
-    cov = math.sqrt(0.5 * det_b.eta_d * t) * (params.v_a + 0.5 * eta_a)
+    var_b = 0.5 * det_b.eta_d * ch.t * (params.v_a + params.eps0) + 1.0 + det_b.v_el
+    cov = math.sqrt(0.5 * det_b.eta_d * ch.t) * (params.v_a + 0.5 * eta_a)
     out = np.zeros((4, 4))
     out[0, 0] = out[1, 1] = var_a
     out[2, 2] = out[3, 3] = var_b

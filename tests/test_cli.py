@@ -121,9 +121,42 @@ class TestParsing:
     def test_non_numeric_va_in_config_is_usage_error(self, command, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("va=abc\n")
-        argv = [command, "--config", str(cfg), "--n0", "100", "--length", "5", "--count", "100"]
+        argv = [command, "--config", str(cfg), "--n0", "100", "--length", "5"]
         assert main(argv) == EXIT_CONFIG
         assert "'va' must be numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("sweep", "--count"),
+            ("sweep", "--seed"),
+            ("optimize", "--va"),
+            ("optimize", "--count"),
+            ("optimize", "--seed"),
+            ("simulate", "--f"),
+            *(("analyze", flag) for flag in ("--gamma", "--eps0", "--f", "--n0", "--va", "--length", "--count")),
+        ],
+    )
+    def test_flag_of_a_setting_the_command_does_not_read_is_usage_error(self, command, flag, capsys):
+        files = ["thermal.csv", "vacuum.csv"] if command == "analyze" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, flag, "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_config_keys_the_command_does_not_read_are_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("va=2\ncount=abc\nseed=abc\npartitions=0\n")
+        plain, configured = tmp_path / "plain.txt", tmp_path / "configured.txt"
+        argv = ["optimize", "--n0", "500", "--length", "20", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
+        cfg.write_text("f=abc\n")
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
 
     def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,8 @@
 """Closed-form noise budget."""
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,34 +11,39 @@ from passive_cvqkd import (
     DetectorModel,
     ParameterError,
     ProtocolParams,
-    alice_uncertainty,
-    channel_transmittance,
     excess_noise_alice,
     heterodyne_noise,
     total_noise,
 )
-from passive_cvqkd.noise import TransmittanceFloorWarning
+from passive_cvqkd.noise import T_FLOOR, TransmittanceFloorWarning
 
 REF_DET = DetectorModel(0.5, 0.1)
 
 
 class TestAliceUncertainty:
+    """Alice's error on the outgoing quadrature has variance
+    ``excess_noise_alice + 1``: the trailing 1 is the outgoing mode's vacuum."""
+
     def test_no_signal_means_pure_vacuum_error(self):
-        assert alice_uncertainty(0.0, REF_DET) == 1.0
+        assert excess_noise_alice(ProtocolParams(n0=340.0, v_a=0.0), REF_DET) + 1.0 == 1.0
 
     def test_ideal_detector_full_transmission(self):
-        assert alice_uncertainty(1.0, DetectorModel(1.0, 0.0)) == pytest.approx(2.0, abs=1e-15)
+        eps = excess_noise_alice(ProtocolParams(n0=3.0, v_a=3.0), DetectorModel(1.0, 0.0))
+        assert eps + 1.0 == pytest.approx(2.0, abs=1e-15)
 
     def test_threshold_attenuation(self):
         # 1/340 is the attenuation at which the excess noise hits 0.01
         # for this detector, so the uncertainty is 1.01.
-        assert alice_uncertainty(1.0 / 340.0, REF_DET) == pytest.approx(1.01, rel=1e-12)
+        eps = excess_noise_alice(ProtocolParams(n0=340.0, v_a=1.0), REF_DET)
+        assert eps + 1.0 == pytest.approx(1.01, rel=1e-12)
 
     def test_range_validation(self):
+        # An attenuator transmittance v_a / n0 outside [0, 1] is refused
+        # where the parameters are built.
         with pytest.raises(ParameterError):
-            alice_uncertainty(-0.1, REF_DET)
+            ProtocolParams(n0=10.0, v_a=-1.0)
         with pytest.raises(ParameterError):
-            alice_uncertainty(1.1, REF_DET)
+            ProtocolParams(n0=10.0, v_a=11.0)
 
 
 class TestExcessNoise:
@@ -50,13 +58,6 @@ class TestExcessNoise:
     def test_dimmer_source_value(self):
         params = ProtocolParams(n0=100.0, v_a=1.0)
         assert excess_noise_alice(params, REF_DET) == pytest.approx(0.034, rel=1e-12)
-
-    def test_uncertainty_identity_is_exact(self):
-        for n0 in (50.0, 100.0, 340.0, 500.0, 2000.0):
-            for v_a in (0.01, 0.5, 1.0, 5.0, 20.0):
-                params = ProtocolParams(n0=n0, v_a=v_a)
-                eps = excess_noise_alice(params, REF_DET)
-                assert alice_uncertainty(params.eta_a, REF_DET) == eps + 1.0
 
     def test_linearity_in_modulation_variance(self):
         for v_a in (0.03, 0.7, 4.2):
@@ -96,19 +97,35 @@ class TestExcessNoise:
 
 class TestChannel:
     def test_zero_length_is_lossless(self):
-        assert channel_transmittance(ChannelModel(0.2, 0.0)) == 1.0
+        assert ChannelModel(0.2, 0.0).t == 1.0
 
     def test_ten_db_loss(self):
-        assert channel_transmittance(ChannelModel(0.2, 50.0)) == pytest.approx(0.1, rel=1e-15)
+        assert ChannelModel(0.2, 50.0).t == pytest.approx(0.1, rel=1e-15)
 
     def test_half_decade(self):
-        assert channel_transmittance(ChannelModel(0.2, 25.0)) == pytest.approx(10.0 ** -0.5, rel=1e-15)
-        assert channel_transmittance(ChannelModel(0.2, 25.0)) == pytest.approx(0.31623, rel=1e-4)
+        assert ChannelModel(0.2, 25.0).t == pytest.approx(10.0 ** -0.5, rel=1e-15)
+        assert ChannelModel(0.2, 25.0).t == pytest.approx(0.31623, rel=1e-4)
+
+    def test_transmittance_above_the_floor_is_the_written_formula(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma, length in ((0.2, 0.0), (0.2, 13.7), (0.16, 120.0), (0.2, 749.0), (1.0, 3.3)):
+                assert ChannelModel(gamma, length).t == 10.0 ** (-gamma * length / 10.0)
 
     def test_floor_warns_and_clamps(self):
         with pytest.warns(TransmittanceFloorWarning):
-            t = channel_transmittance(ChannelModel(0.2, 10_000.0))
-        assert t == 1e-15
+            t = ChannelModel(0.2, 10_000.0).t
+        assert t == T_FLOOR == 1e-15
+
+    def test_floor_warns_once_per_channel_at_the_callers_line(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            ch = ChannelModel(0.2, 800.0)
+            for _ in range(3):
+                total_noise(ProtocolParams(n0=500.0, v_a=1.0), REF_DET, REF_DET, ch)
+        assert [w.category for w in caught] == [TransmittanceFloorWarning]
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -155,8 +172,7 @@ class TestTotalNoise:
             det_a = DetectorModel(rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.5))
             det_b = DetectorModel(rng.uniform(0.2, 1.0), rng.uniform(0.0, 0.5))
             ch = ChannelModel(0.2, rng.uniform(0.0, 120.0))
-            t = channel_transmittance(ch)
             budget = total_noise(params, det_a, det_b, ch)
-            assert budget.chi_tot >= budget.chi_line >= 1.0 / t - 1.0
+            assert budget.chi_tot >= budget.chi_line >= 1.0 / ch.t - 1.0
             assert budget.chi_het >= 1.0
             assert budget.eps_a >= 0.0

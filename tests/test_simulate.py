@@ -1,6 +1,9 @@
 """Monte Carlo protocol simulation against the closed-form model."""
 
+import linecache
 import math
+import os
+import pickle
 import tracemalloc
 import warnings
 
@@ -14,21 +17,25 @@ from passive_cvqkd import (
     ProtocolParams,
     RngStream,
     SimConfig,
-    alice_uncertainty,
+    TransmittanceFloorWarning,
     beamsplitter,
-    channel_transmittance,
     empirical_mutual_information,
-    estimate_excess_noise,
     excess_noise_alice,
-    heterodyne_measure,
     load_quadrature_records,
     mutual_information,
     run_protocol,
-    sample_thermal_quadratures,
     total_noise,
 )
+from passive_cvqkd import cli
 from passive_cvqkd.cli import EXIT_IO, main
-from passive_cvqkd.simulate import _CHUNK, _chunk, _chunk_buffers, analytic_moments, empirical_mi_stderr
+from passive_cvqkd.simulate import (
+    _CHUNK,
+    _chunk,
+    _chunk_buffers,
+    _usable_cpus,
+    analytic_moments,
+    empirical_mi_stderr,
+)
 
 REF_DET = DetectorModel(0.5, 0.1)
 
@@ -47,23 +54,30 @@ def make_config(n0=340.0, v_a=1.0, length=10.0, count=250_000, seed=42, partitio
     )
 
 
-def reference_chunk(cfg, t, m, g):
-    """The simulator's chain, written with the public allocating operations.
+def reference_chunk(cfg, m, g):
+    """The simulator's chain, written with the public allocating beam
+    splitter and the written formulas of the source and the receivers,
+    which ``tests/test_gaussian.py`` pins ``sample_thermal_quadratures``
+    and ``heterodyne_measure`` to.
 
     Every splitter computes both outputs and every stage is checked for
     finiteness; the draws are taken in the same order as in ``_chunk``.
     """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
     eta_a = params.eta_a
-    src = sample_thermal_quadratures(params.n0, m, g)
+
+    def heterodyne(samples, det):
+        measured, _ = beamsplitter(samples, g.standard_normal((m, 2)), det.eta_d / 2.0)
+        return measured + math.sqrt(det.v_el) * g.standard_normal((m, 2))
+
+    src = g.normal(0.0, math.sqrt(2.0 * params.n0 + 1.0), size=(m, 2))
     mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
     _, mod2 = beamsplitter(g.standard_normal((m, 2)), src, 0.5)
     out, _ = beamsplitter(mod1, g.standard_normal((m, 2)), eta_a)
-    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne_measure(mod2, det_a, g)
+    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne(mod2, det_a)
     excess = math.sqrt(params.eps0) * g.standard_normal((m, 2))
-    received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), t)
-    meas_b = heterodyne_measure(received, det_b, g)
-    return np.concatenate([est, meas_b], axis=1), out
+    received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), cfg.channel.t)
+    return np.concatenate([est, heterodyne(received, det_b)], axis=1), out
 
 
 def peak_memory(count, seed, dump_path=None):
@@ -89,13 +103,12 @@ class TestChunk:
     )
     def test_matches_the_public_chain_bit_for_bit(self, kw):
         cfg = make_config(**kw)
-        t = channel_transmittance(cfg.channel)
         g, g_ref = RngStream(31, 2).generator(), RngStream(31, 2).generator()
         bufs = _chunk_buffers(_CHUNK)
         # A full chunk, then a shorter tail that reuses the same arrays.
         for m in (_CHUNK, 1000):
-            block, est, out = _chunk(cfg, t, g, *(b[:m] for b in bufs))
-            ref_block, ref_out = reference_chunk(cfg, t, m, g_ref)
+            block, est, out = _chunk(cfg, g, *(b[:m] for b in bufs))
+            ref_block, ref_out = reference_chunk(cfg, m, g_ref)
             assert np.array_equal(block, ref_block)
             assert np.array_equal(est, ref_block[:, :2])
             assert np.array_equal(out, ref_out)
@@ -113,21 +126,21 @@ class TestEstimateError:
     def test_delta_matches_closed_form_at_threshold(self):
         cfg = make_config(n0=340.0, v_a=1.0)
         summary = run_protocol(cfg)
-        delta = alice_uncertainty(cfg.params.eta_a, cfg.det_a)
+        delta = excess_noise_alice(cfg.params, cfg.det_a) + 1.0
         assert delta == pytest.approx(1.01, rel=1e-12)
         assert abs(summary.delta_hat - delta) < 5.0 * summary.delta_stderr
 
     @pytest.mark.parametrize("n0, v_a, seed", [(340.0, 1.0, 3), (100.0, 1.0, 4), (500.0, 2.0, 5)])
     def test_excess_noise_matches_closed_form(self, n0, v_a, seed):
         cfg = make_config(n0=n0, v_a=v_a, seed=seed)
-        eps_hat, stderr = estimate_excess_noise(run_protocol(cfg))
+        summary = run_protocol(cfg)
         expected = excess_noise_alice(cfg.params, cfg.det_a)
-        assert abs(eps_hat - expected) < 5.0 * stderr
+        assert abs(summary.delta_hat - 1.0 - expected) < 5.0 * summary.delta_stderr
 
     def test_no_outgoing_signal_means_no_excess_noise(self):
         cfg = make_config(v_a=0.0, seed=6)
-        eps_hat, stderr = estimate_excess_noise(run_protocol(cfg))
-        assert abs(eps_hat) < 5.0 * stderr
+        summary = run_protocol(cfg)
+        assert abs(summary.delta_hat - 1.0) < 5.0 * summary.delta_stderr
 
     def test_stderr_scales_as_inverse_root_count(self):
         small = run_protocol(make_config(count=100_000, seed=8))
@@ -224,13 +237,12 @@ class TestDeterminism:
         # products far below their statistical error.
         cfg = make_config(count=5 * _CHUNK + 17, partitions=2, seed=28)
         summary = run_protocol(cfg)
-        t = channel_transmittance(cfg.channel)
         products = []
         for index, n_rounds in enumerate((cfg.count - cfg.count // 2, cfg.count // 2)):
             g = RngStream(cfg.master_seed, index).generator()
             bufs = _chunk_buffers(_CHUNK)
             for done in range(0, n_rounds, _CHUNK):
-                v4, _, _ = _chunk(cfg, t, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
+                v4, _, _ = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
                 products.append(v4.T @ v4)
         assert len(products) == 6
         exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(4)] for i in range(4)]) / cfg.count
@@ -238,28 +250,49 @@ class TestDeterminism:
         assert np.all(np.abs(summary.moments - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
 
 
+SIM_800_KM = ["simulate", "--n0", "500", "--va", "1", "--length", "800", "--count", "3000", "--partitions", "3"]
+
+
+@pytest.fixture
+def sizes(monkeypatch):
+    """Pool sizes asked for.  The stand-in executor maps in-process and
+    starts no process, but like a real pool it sends each call's
+    arguments and result through pickle.  64 CPUs are usable unless a
+    test says otherwise."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            calls = (pickle.loads(pickle.dumps(args)) for args in zip(*iterables))
+            return [pickle.loads(pickle.dumps(fn(*args))) for args in calls]
+
+    monkeypatch.setattr("passive_cvqkd.simulate.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("passive_cvqkd.simulate._usable_cpus", lambda: 64)
+    return sizes
+
+
+def floor_warnings(argv):
+    """File and source line of each TransmittanceFloorWarning that ``main(argv)`` raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    return [
+        (w.filename, linecache.getline(w.filename, w.lineno).strip())
+        for w in caught
+        if w.category is TransmittanceFloorWarning
+    ]
+
+
 class TestPool:
-    @pytest.fixture
-    def sizes(self, monkeypatch):
-        """Pool sizes asked for; the stand-in executor maps in-process and starts no process."""
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("passive_cvqkd.simulate.ProcessPoolExecutor", InProcessPool)
-        return sizes
-
     @pytest.mark.parametrize(
         "count, partitions, workers, expected",
         [(1000, 2, 5000, [2]), (1000, 4, 3, [3]), (2, 5, 8, [2]), (1000, 3, 1, []), (1000, 1, 4, [])],
@@ -270,17 +303,54 @@ class TestPool:
         assert sizes == expected
         assert np.array_equal(pooled.moments, run_protocol(cfg).moments)
 
+    @pytest.mark.parametrize(
+        "partitions, workers, cpus, expected",
+        [(4, 2, 2, [2]), (4, 8, 2, [2]), (8, 8, 3, [3]), (4, 4, 1, [])],
+    )
+    def test_pool_is_no_larger_than_the_usable_cpus(self, sizes, monkeypatch, partitions, workers, cpus, expected):
+        monkeypatch.setattr("passive_cvqkd.simulate._usable_cpus", lambda: cpus)
+        cfg = make_config(count=1000, partitions=partitions, seed=30)
+        pooled = run_protocol(cfg, workers=workers)
+        assert sizes == expected
+        assert np.array_equal(pooled.moments, run_protocol(cfg).moments)
+
+    def test_usable_cpus_is_a_positive_count(self):
+        assert 1 <= _usable_cpus() <= (os.cpu_count() or 1)
+
     def test_cli_workers_above_partitions(self, sizes):
         argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000"]
         assert main(argv + ["--partitions", "2", "--workers", "5000"]) == 0
         assert sizes == [2]
+
+    def test_cli_workers_above_usable_cpus(self, sizes, monkeypatch):
+        monkeypatch.setattr("passive_cvqkd.simulate._usable_cpus", lambda: 2)
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "5000"]
+        assert main(argv + ["--partitions", "5000", "--workers", "5000"]) == 0
+        assert sizes == [2]
+
+
+class TestFloorWarning:
+    """A clamped channel warns once per command, at the CLI line that built it."""
+
+    BUILT_AT = [(cli.__file__, 'ch = ChannelModel(_float_setting(settings, "gamma"), length)')]
+
+    def test_serial_run(self, sizes):
+        assert floor_warnings(SIM_800_KM + ["--workers", "1"]) == self.BUILT_AT
+        assert sizes == []
+
+    def test_pooled_run(self, sizes):
+        assert floor_warnings(SIM_800_KM + ["--workers", "2"]) == self.BUILT_AT
+        assert sizes == [2]
+
+    def test_optimize(self):
+        assert floor_warnings(["optimize", "--n0", "500", "--length", "800"]) == self.BUILT_AT
 
 
 class TestDump:
     def test_header_and_roundtrip_identity(self, tmp_path):
         cfg = make_config(count=500, partitions=1, seed=20)
         g = RngStream(cfg.master_seed, 0).generator()
-        samples, _, _ = _chunk(cfg, channel_transmittance(cfg.channel), g, *_chunk_buffers(cfg.count))
+        samples, _, _ = _chunk(cfg, g, *_chunk_buffers(cfg.count))
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
         text = path.read_text().splitlines()
