@@ -205,9 +205,9 @@ def optimize_modulation(
     ch: ChannelModel,
     f: float = 0.95,
     eps0: float = 0.01,
-    bounds: tuple[float, float] | None = None,
 ) -> ModulationOptimum:
-    """Maximize the key rate over the modulation variance.
+    """Maximize the key rate over the modulation variance in
+    ``[min(0.01, n0), min(20, n0)]``.
 
     A logarithmic coarse scan of ``COARSE_POINTS`` points guards against
     multimodality, then a golden-section refinement narrows the bracket
@@ -216,16 +216,11 @@ def optimize_modulation(
 
     Args:
         n0: source mean photon number (upper limit on the variance).
-        bounds: search interval; defaults to ``(0.01, min(20, n0))``.
 
     Returns:
         ModulationOptimum with the best variance and its report.
     """
-    if bounds is None:
-        bounds = (min(0.01, n0), min(20.0, n0))
-    lo, hi = bounds
-    if not (0.0 < lo <= hi <= n0):
-        raise ParameterError(f"bounds {bounds} must satisfy 0 < lo <= hi <= n0 = {n0}")
+    lo, hi = min(0.01, n0), min(20.0, n0)
 
     def rate_raw(v_a: float) -> float:
         params = ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0)

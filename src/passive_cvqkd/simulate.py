@@ -192,13 +192,15 @@ def run_protocol(
             then appended in partition order and removed, also when the
             run fails.  Memory stays O(chunk), not O(count), and the
             bytes do not depend on ``workers``.
-        workers: process count for parallel partitions; None or 1 runs
-            sequentially.  The pool is no larger than the number of
-            partitions run or of CPUs this process may use.
+        workers: process count for parallel partitions, at least 1;
+            None or 1 runs sequentially.  The pool is no larger than the
+            number of partitions run or of CPUs this process may use.
 
     Returns:
         SimSummary with the moments and the estimate-error statistics.
     """
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     base, rem = divmod(cfg.count, cfg.partitions)
     # Partitions beyond cfg.count would get no rounds; they are not run.
     counts = [base + (1 if k < rem else 0) for k in range(min(cfg.partitions, cfg.count))]

@@ -7,9 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from passive_cvqkd import DetectorModel, ParameterError, RngStream, heterodyne_measure, sample_thermal_quadratures
+from passive_cvqkd import (
+    ChannelModel,
+    DegenerateDataError,
+    DetectorModel,
+    ParameterError,
+    ProtocolParams,
+    RngStream,
+    excess_noise_alice,
+    heterodyne_measure,
+    sample_thermal_quadratures,
+    secure_key_rate,
+)
 from passive_cvqkd.cli import (
     _MAX_AXIS_POINTS,
+    DEFAULTS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_IO,
@@ -18,6 +30,10 @@ from passive_cvqkd.cli import (
     parse_axis,
     parse_config_file,
 )
+
+
+def report_of(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
 
 
 def write_records(tmp_path, n_mean=50.0, det=DetectorModel(0.5, 0.35), count=20_000, seed=90, scale=1.3):
@@ -158,6 +174,48 @@ class TestParsing:
         assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
         assert configured.read_bytes() == plain.read_bytes()
 
+    def test_defaults_are_the_reference_configuration(self):
+        assert DEFAULTS == {
+            "gamma": "0.2", "eps0": "0.01", "v_el": "0.1", "eta_d": "0.5", "f": "0.95", "n0": "50,100,500",
+            "va": "", "length": "0:100:1", "count": "1000000", "seed": "42", "partitions": "1", "workers": "1",
+        }  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("sweep", "gamma", "abc", "error: setting 'gamma' must be numeric, got 'abc'"),
+            ("sweep", "va", "1,2", "error: setting 'va' must be numeric, got '1,2'"),
+            ("simulate", "count", "1e3", "error: setting 'count' must be an integer, got '1e3'"),
+            ("simulate", "seed", "x", "error: setting 'seed' must be an integer, got 'x'"),
+        ],
+    )
+    def test_bad_value_fails_alike_from_flag_and_config(self, command, key, value, message, tmp_path, capsys):
+        argv = [command, "--n0", "100", "--length", "5"]
+        assert main(argv + [f"--{key}", value]) == EXIT_CONFIG
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert from_flag == capsys.readouterr().err == message + "\n"
+
+    def test_empty_va_flag_means_unset(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("va=2\n")
+        plain, unset = tmp_path / "plain.csv", tmp_path / "unset.csv"
+        argv = ["sweep", "--n0", "100", "--length", "0,10", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        assert main(argv + [str(unset), "--config", str(cfg), "--va", ""]) == EXIT_OK
+        assert unset.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_va_help_states_each_commands_default(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--va VA fixed modulation variance (sweep optimizes it when unset; simulate uses 1)" in text
+        assert "default: optimize" not in text
+
     def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"gamma=0.2\xff\n")
@@ -268,8 +326,62 @@ class TestSimulate:
         text = out.read_text()
         assert "delta_empirical=" in text
 
+    def test_degenerate_mutual_information_is_skipped(self, tmp_path, monkeypatch):
+        def degenerate(summary):
+            raise DegenerateDataError("singular empirical covariance block")
+
+        plain, skipped = tmp_path / "plain.txt", tmp_path / "skipped.txt"
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        monkeypatch.setattr("passive_cvqkd.cli.empirical_mutual_information", degenerate)
+        assert main(argv + [str(skipped)]) == EXIT_OK
+        expected = report_of(plain)
+        expected.update(I_AB_empirical="nan", I_AB_stderr="nan", I_AB_z="nan", I_AB_verdict="SKIP")
+        assert list(report_of(skipped).items()) == list(expected.items())
+
     def test_multiple_n0_is_usage_error(self):
         assert main(["simulate", "--n0", "50,100", "--count", "10"]) == EXIT_CONFIG
+
+
+class TestDetectorOverrides:
+    """Config-only keys that give the sender (_a) or the receiver (_b) its own detector."""
+
+    def test_sender_electronic_noise(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "report.txt"
+        cfg.write_text("v_el_a=0.35\n")
+        argv = ["simulate", "--config", str(cfg), "--n0", "20000", "--va", "1", "--length", "10", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        report = report_of(out)
+        eps_a = excess_noise_alice(ProtocolParams(n0=20000.0, v_a=1.0), DetectorModel(0.5, 0.35))
+        assert report["eps_A_analytic"] == "0.00022" == f"{eps_a:.9g}"
+        assert [report[f"{name}_verdict"] for name in ("eps_A", "delta", "I_AB", "moments")] == ["PASS"] * 4
+
+    def test_receiver_efficiency(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "sweep.csv"
+        cfg.write_text("eta_d_b=0.6\n")
+        argv = ["sweep", "--config", str(cfg), "--va", "1", "--n0", "100,500", "--length", "0,10,30"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            params = ProtocolParams(n0=float(row[1]), v_a=1.0)
+            ch = ChannelModel(0.2, float(row[0]))
+            r = secure_key_rate(params, DetectorModel(0.5, 0.1), DetectorModel(0.6, 0.1), ch)
+            assert row[3:] == [f"{x:.9g}" for x in (r.i_ab, r.chi_be, r.rate_raw, r.rate)]
+
+    def test_empty_override_takes_the_shared_value(self, tmp_path):
+        cfg, plain, configured = tmp_path / "run.cfg", tmp_path / "plain.csv", tmp_path / "configured.csv"
+        cfg.write_text("eta_d_a=\nv_el_a=\neta_d_b=\nv_el_b=\n")
+        argv = ["sweep", "--va", "1", "--n0", "100", "--length", "0,10", "--eta-d", "0.6", "--v-el", "0.2", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
+
+    def test_non_numeric_override_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("v_el_a=abc\n")
+        assert main(["simulate", "--config", str(cfg), "--n0", "20000", "--va", "1", "--length", "10"]) == EXIT_CONFIG
+        assert "'v_el_a' must be numeric" in capsys.readouterr().err
 
 
 class TestAnalyze:

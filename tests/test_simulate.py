@@ -314,6 +314,15 @@ class TestPool:
         assert sizes == expected
         assert np.array_equal(pooled.moments, run_protocol(cfg).moments)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_rejected(self, sizes, workers, capsys):
+        with pytest.raises(ParameterError, match="workers"):
+            run_protocol(make_config(count=1000, partitions=2, seed=31), workers=workers)
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000", "--partitions", "2"]
+        assert main(argv + ["--workers", str(workers)]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert sizes == []
+
     def test_usable_cpus_is_a_positive_count(self):
         assert 1 <= _usable_cpus() <= (os.cpu_count() or 1)
 
@@ -332,7 +341,7 @@ class TestPool:
 class TestFloorWarning:
     """A clamped channel warns once per command, at the CLI line that built it."""
 
-    BUILT_AT = [(cli.__file__, 'ch = ChannelModel(_float_setting(settings, "gamma"), length)')]
+    BUILT_AT = [(cli.__file__, 'ch = ChannelModel(s["gamma"], length)')]
 
     def test_serial_run(self, sizes):
         assert floor_warnings(SIM_800_KM + ["--workers", "1"]) == self.BUILT_AT
