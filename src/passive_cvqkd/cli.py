@@ -157,12 +157,7 @@ def _settings_from(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _read(settings: dict[str, str], keys: list[str]) -> dict:
-    """Parse each setting in ``keys`` once; a bad value names its key.
-
-    Reading ``eta_d`` and ``v_el`` also gives Alice's (``_a``) and Bob's
-    (``_b``) detector their own values: the override a config file sets,
-    or the shared value when it is unset or empty.
-    """
+    """Parse each setting in ``keys`` once; a bad value names its key."""
 
     def parse(name: str):
         parser = _SETTINGS[name][1]
@@ -174,16 +169,14 @@ def _read(settings: dict[str, str], keys: list[str]) -> dict:
             kind = "an integer" if parser is int else "numeric"
             raise ParameterError(f"setting {name!r} must be {kind}, got {settings[name]!r}") from None
 
-    values = {key: parse(key) for key in keys}
-    for name in ("eta_d_a", "v_el_a", "eta_d_b", "v_el_b"):
-        shared = name[:-2]
-        if shared in values:
-            values[name] = parse(name) if settings.get(name) else values[shared]
-    return values
+    return {key: parse(key) for key in keys}
 
 
-def _detectors(s: dict) -> tuple[DetectorModel, DetectorModel]:
-    return DetectorModel(s["eta_d_a"], s["v_el_a"]), DetectorModel(s["eta_d_b"], s["v_el_b"])
+def _detectors(settings: dict[str, str], s: dict) -> tuple[DetectorModel, DetectorModel]:
+    """Alice's (``_a``) and Bob's (``_b``) detector: a non-empty override, else the shared value in ``s``."""
+    d = {key: s[key[:-2]] for key in ("eta_d_a", "v_el_a", "eta_d_b", "v_el_b")}
+    d.update(_read(settings, [key for key in d if settings.get(key)]))
+    return DetectorModel(d["eta_d_a"], d["v_el_a"]), DetectorModel(d["eta_d_b"], d["v_el_b"])
 
 
 def _single(values: list[float], name: str) -> float:
@@ -204,7 +197,7 @@ def _write_lines(lines: list[str], out_path: str | None) -> None:
 def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, ModulationOptimum]]:
     """Evaluate the (n0, length) grid; one optimized entry per pair."""
     s = _read(settings, _KEYS["sweep"])
-    det_a, det_b = _detectors(s)
+    det_a, det_b = _detectors(settings, s)
     if not s["n0"] or not s["length"]:
         raise ParameterError("n0 and length axes must be non-empty")
 
@@ -216,8 +209,7 @@ def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, Modulati
                 opt = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
             else:
                 params = ProtocolParams(n0=n0, v_a=s["va"], f=s["f"], eps0=s["eps0"])
-                report = secure_key_rate(params, det_a, det_b, ch)
-                opt = ModulationOptimum(v_a=s["va"], report=report, feasible=report.rate_raw > 0.0)
+                opt = ModulationOptimum(v_a=s["va"], report=secure_key_rate(params, det_a, det_b, ch))
             rows.append((length, n0, opt))
     return rows
 
@@ -257,7 +249,7 @@ def _verdict_lines(name: str, analytic: float, empirical: float | None, stderr: 
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     s = _read(settings, _KEYS["simulate"])
-    det_a, det_b = _detectors(s)
+    det_a, det_b = _detectors(settings, s)
     n0 = _single(s["n0"], "n0")
     length = _single(s["length"], "length")
     va = 1.0 if s["va"] is None else s["va"]
@@ -310,7 +302,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     s = _read(settings, _KEYS["analyze"])
-    det_a, _ = _detectors(s)
+    det = DetectorModel(s["eta_d"], s["v_el"])
     columns = None
     if args.columns:
         names = [c.strip() for c in args.columns.split(",")]
@@ -320,7 +312,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     thermal = load_quadrature_records(args.thermal, columns=columns)
     vacuum = load_quadrature_records(args.vacuum, columns=columns)
 
-    cal = calibrate_photon_number(thermal, vacuum, det_a)
+    cal = calibrate_photon_number(thermal, vacuum, det)
     snu = thermal.in_snu(cal.shot_variance)
     result = g2_estimate(
         snu,
@@ -334,8 +326,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"vacuum_file={args.vacuum}",
         f"samples_thermal={len(thermal)}",
         f"samples_vacuum={len(vacuum)}",
-        f"eta_d={_fmt(det_a.eta_d)}",
-        f"v_el={_fmt(det_a.v_el)}",
+        f"eta_d={_fmt(det.eta_d)}",
+        f"v_el={_fmt(det.v_el)}",
         f"thermal_variance_raw={_fmt(cal.thermal_variance)}",
         f"vacuum_variance_raw={_fmt(cal.vacuum_variance)}",
         f"shot_variance_raw={_fmt(cal.shot_variance)}",
@@ -357,7 +349,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     s = _read(settings, _KEYS["optimize"])
-    det_a, det_b = _detectors(s)
+    det_a, det_b = _detectors(settings, s)
     n0 = _single(s["n0"], "n0")
     length = _single(s["length"], "length")
     ch = ChannelModel(s["gamma"], length)

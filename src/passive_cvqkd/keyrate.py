@@ -90,6 +90,8 @@ def _symplectic_pair(s: float, p: float, label: str) -> tuple[float, float]:
     returns eigenvalues of exactly 1.
     """
     disc = s * s - 4.0 * p
+    if not math.isfinite(disc):
+        raise PhysicalityError(f"{label} eigenvalue pair overflows: discriminant is {disc}")
     if disc < -DISCRIMINANT_TOL:
         raise PhysicalityError(f"negative discriminant {disc:.3e} for {label} eigenvalue pair")
     if abs(disc) <= DISCRIMINANT_TOL:
@@ -120,8 +122,8 @@ def holevo_bound(
         fifth is identically 1, so its term ``g(0) = 0`` is left out.
 
     Raises:
-        PhysicalityError: if a discriminant or eigenvalue violates
-            physicality beyond tolerance.
+        PhysicalityError: if a discriminant overflows, or it or an
+            eigenvalue violates physicality beyond tolerance.
     """
     if not (v_a > 0.0 and math.isfinite(v_a)):
         raise ParameterError(f"modulation variance must be > 0, got {v_a}")
@@ -135,12 +137,15 @@ def holevo_bound(
     v = v_a + 1.0
     chi_tot = chi_line + chi_het / t
 
-    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + (t * (v + chi_line)) ** 2
+    # Squares are products: where * gives inf, a float's ** raises OverflowError.
+    t_v_line = t * (v + chi_line)
+    a = v * v * (1.0 - 2.0 * t) + 2.0 * t + t_v_line * t_v_line
     sqrt_b = t * (v * chi_line + 1.0)
     b = sqrt_b * sqrt_b
     lam1, lam2 = _symplectic_pair(a, b, "channel-output")
 
-    denom = (t * (v + chi_tot)) ** 2
+    t_v_tot = t * (v + chi_tot)
+    denom = t_v_tot * t_v_tot
     c = (
         a * chi_het * chi_het
         + b
@@ -148,7 +153,8 @@ def holevo_bound(
         + 2.0 * chi_het * (v * sqrt_b + t * (v + chi_line))
         + 2.0 * t * (v * v - 1.0)
     ) / denom
-    d = ((v + sqrt_b * chi_het) ** 2) / denom
+    v_b_het = v + sqrt_b * chi_het
+    d = v_b_het * v_b_het / denom
     lam3, lam4 = _symplectic_pair(c, d, "conditional")
 
     lambdas = (lam1, lam2, lam3, lam4, 1.0)
@@ -171,8 +177,11 @@ def secure_key_rate(
     det_b: DetectorModel,
     ch: ChannelModel,
 ) -> KeyRateReport:
-    """Evaluate the asymptotic secure key rate for one configuration."""
+    """Evaluate the asymptotic secure key rate for one configuration; an
+    overflow of the noise budget or the Holevo bound is a PhysicalityError."""
     budget = total_noise(params, det_a, det_b, ch)
+    if not math.isfinite(budget.chi_tot):
+        raise PhysicalityError(f"noise budget overflows: total noise is {budget.chi_tot}")
     i_ab = mutual_information(params.v_a, budget.chi_tot)
     chi_be, lambdas = holevo_bound(params.v_a, ch.t, budget.chi_line, budget.chi_het)
     rate_raw = params.f * i_ab - chi_be
@@ -189,13 +198,17 @@ def secure_key_rate(
 class ModulationOptimum:
     """Result of the modulation-variance search.
 
-    ``feasible`` is False when the raw rate is non-positive everywhere in
-    the search range; ``report.rate`` is then 0 at the lower bound.
+    ``feasible``, read from the report, is False when the raw rate is
+    non-positive everywhere in the search range; ``report.rate`` is then
+    0 at the lower bound.
     """
 
     v_a: float
     report: KeyRateReport
-    feasible: bool
+
+    @property
+    def feasible(self) -> bool:
+        return self.report.rate_raw > 0.0
 
 
 def optimize_modulation(
@@ -218,45 +231,40 @@ def optimize_modulation(
         n0: source mean photon number (upper limit on the variance).
 
     Returns:
-        ModulationOptimum with the best variance and its report.
+        ModulationOptimum: the best variance and the report the search made there.
     """
     lo, hi = min(0.01, n0), min(20.0, n0)
 
-    def rate_raw(v_a: float) -> float:
+    def evaluate(v_a: float) -> KeyRateReport:
         params = ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0)
-        return secure_key_rate(params, det_a, det_b, ch).rate_raw
+        return secure_key_rate(params, det_a, det_b, ch)
 
-    if lo == hi:
-        grid = np.array([lo])
-    else:
-        grid = np.geomspace(lo, hi, COARSE_POINTS)
-    values = [rate_raw(v) for v in grid]
-    best = int(np.argmax(values))  # argmax takes the first, i.e. smallest v_a
+    # geomspace rejects [0, 0]; n0 = 0 must reach ProtocolParams' check instead.
+    grid = [lo] if lo == hi else np.geomspace(lo, hi, COARSE_POINTS).tolist()
+    reports = [evaluate(v) for v in grid]
+    best = int(np.argmax([r.rate_raw for r in reports]))  # argmax takes the first, i.e. smallest v_a
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
-    best_v, best_r = float(grid[best]), values[best]
+    best_v, best_r = grid[best], reports[best]
 
-    # Golden-section maximization of rate_raw on [a, b].
+    # Golden-section maximization of the raw rate on [a, b].
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    rc, rd = rate_raw(c), rate_raw(d)
+    rc, rd = evaluate(c), evaluate(d)
     while b - a > REL_TOL * b:
-        if rc > rd:
+        if rc.rate_raw > rd.rate_raw:
             b, d, rd = d, c, rc
             c = b - _INV_PHI * (b - a)
-            rc = rate_raw(c)
+            rc = evaluate(c)
         else:
             a, c, rc = c, d, rd
             d = a + _INV_PHI * (b - a)
-            rd = rate_raw(d)
+            rd = evaluate(d)
     for v, r in ((c, rc), (d, rd)):
         # Strict improvement required so ties keep the smaller variance.
-        if r > best_r or (r == best_r and v < best_v):
-            best_v, best_r = float(v), r
+        if r.rate_raw > best_r.rate_raw or (r.rate_raw == best_r.rate_raw and v < best_v):
+            best_v, best_r = v, r
 
-    feasible = best_r > 0.0
-    if not feasible:
-        best_v = lo
-    params = ProtocolParams(n0=n0, v_a=best_v, f=f, eps0=eps0)
-    return ModulationOptimum(v_a=best_v, report=secure_key_rate(params, det_a, det_b, ch), feasible=feasible)
+    optimum = ModulationOptimum(v_a=best_v, report=best_r)
+    return optimum if optimum.feasible else ModulationOptimum(v_a=lo, report=reports[0])

@@ -1,6 +1,7 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from passive_cvqkd.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     main,
     parse_axis,
@@ -445,6 +447,19 @@ class TestAnalyze:
         assert code in (EXIT_OK, EXIT_DATA)
 
 
+    @pytest.mark.parametrize("config", ["eta_d_b=abc\n", "v_el_a=0.35\n"])
+    def test_detector_overrides_are_ignored(self, config, tmp_path):
+        # analyze calibrates one receiver, from eta_d and v_el; the _a/_b
+        # keys belong to the commands that build two detectors.
+        th, va = write_records(tmp_path, n_mean=100.0, det=DetectorModel(0.5, 0.1), seed=95)
+        cfg, plain, configured = tmp_path / "run.cfg", tmp_path / "plain.txt", tmp_path / "configured.txt"
+        cfg.write_text(config)
+        argv = ["analyze", th, va, "--n-boot", "20", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
+
+
 class TestOptimizeCommand:
     def test_report_fields(self, tmp_path):
         out = tmp_path / "opt.txt"
@@ -461,6 +476,72 @@ class TestOptimizeCommand:
         report = dict(line.split("=", 1) for line in out.read_text().splitlines())
         assert report["feasible"] == "false"
         assert report["R"] == "0"
+
+
+def _config_without_equals(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma 0.2\n")
+    return ["sweep", "--config", str(cfg), "--va", "1", "--n0", "100", "--length", "1"]
+
+
+def _constant_vacuum(tmp_path):
+    th, _ = write_records(tmp_path, count=2_000, seed=96)
+    vacuum = tmp_path / "constant.csv"
+    vacuum.write_text("x,p\n" + "1.0,1.0\n" * 2_000)
+    return ["analyze", th, str(vacuum)]
+
+
+def _analyze(*flags):
+    return lambda tmp_path: ["analyze", *write_records(tmp_path, count=2_000, seed=96), *flags]
+
+
+def _at_100_photons_10_km(*argv):
+    return lambda _: [*argv, "--n0", "100", "--length", "10"]
+
+
+@pytest.mark.parametrize(
+    "make_argv, code, message",
+    [
+        pytest.param(_config_without_equals, EXIT_CONFIG, "expected key=value", id="config-line-without-equals"),
+        pytest.param(lambda _: ["sweep", "--n0", ","], EXIT_CONFIG, "axes must be non-empty", id="empty-axis"),
+        pytest.param(_analyze("--columns", "xB"), EXIT_CONFIG, "--columns needs two names", id="one-column"),
+        pytest.param(
+            _analyze("--n-boot", "1", "--min-samples", "1000"), EXIT_CONFIG, "n_boot must be >= 2", id="one-resample"
+        ),
+        pytest.param(
+            lambda _: ["optimize", "--n0", "0", "--length", "1"], EXIT_CONFIG, "photon number", id="no-photons"
+        ),
+        pytest.param(
+            lambda p: ["sweep", "--va", "1", "--n0", "100", "--length", "1", "--out", str(p)],
+            EXIT_IO,
+            "Is a directory",
+            id="out-is-a-directory",
+        ),
+        pytest.param(_constant_vacuum, EXIT_DATA, "vacuum record has zero variance", id="constant-vacuum"),
+        # Overflow of the key-rate chain, at a fixed variance and in the search.
+        *(
+            pytest.param(_at_100_photons_10_km(*argv), EXIT_NUMERIC, message, id="-".join(argv).replace("--", ""))
+            for argv, message in [
+                (("sweep", "--va", "1", "--eps0", "1e200"), "eigenvalue pair overflows"),
+                (("sweep", "--va", "1", "--v-el", "1e300"), "eigenvalue pair overflows"),
+                (("sweep", "--va", "1", "--eta-d", "1e-300"), "eigenvalue pair overflows"),
+                (("sweep", "--va", "1", "--eps0", "1e100"), "eigenvalue pair overflows"),
+                (("optimize", "--eps0", "1e200"), "eigenvalue pair overflows"),
+                (("optimize", "--eta-d", "1e-300"), "eigenvalue pair overflows"),
+                (("optimize", "--eps0", "1e100"), "eigenvalue pair overflows"),
+                (("optimize", "--v-el", "1e308"), "noise budget overflows"),
+            ]
+        ),
+    ],
+)
+def test_error_exit_prints_one_error_line(make_argv, code, message, tmp_path, capsys):
+    argv = make_argv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning escapes main as an exception
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 def test_unknown_command_exits_with_usage_error():

@@ -1,5 +1,6 @@
 """Mutual information, Holevo bound, and the modulation optimizer."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,11 +10,14 @@ from oracles import brute_force_optimum, displaced_gaussian_g2, holevo_bound_mp,
 from passive_cvqkd import (
     ChannelModel,
     DetectorModel,
+    ModulationOptimum,
     ParameterError,
+    PhysicalityError,
     ProtocolParams,
     TransmittanceFloorWarning,
     g_function,
     holevo_bound,
+    keyrate,
     mutual_information,
     optimize_modulation,
     secure_key_rate,
@@ -213,6 +217,64 @@ class TestOptimizeModulation:
         # The search interval (min(0.01, n0), min(20, n0)) is one point.
         opt = optimize_modulation(0.005, REF_DET, REF_DET, ChannelModel(0.2, 10.0))
         assert opt.v_a == 0.005
+
+    def test_search_builds_python_floats(self, monkeypatch):
+        built = []
+
+        def recording(**kwargs):
+            built.append(kwargs["v_a"])
+            return ProtocolParams(**kwargs)
+
+        monkeypatch.setattr(keyrate, "ProtocolParams", recording)
+        optimize_modulation(500.0, REF_DET, REF_DET, ChannelModel(0.2, 20.0))
+        assert built and {type(v) for v in built} == {float}
+
+    @pytest.mark.parametrize(
+        "n0, length, eps0, feasible",
+        [(500.0, 20.0, 0.01, True), (50.0, 50.0, 1.0, False)],
+        ids=["feasible", "infeasible"],
+    )
+    def test_returns_a_report_the_search_evaluated(self, n0, length, eps0, feasible, monkeypatch):
+        evaluated = []
+
+        def recording(params, *args):
+            report = secure_key_rate(params, *args)
+            evaluated.append((params.v_a, report))
+            return report
+
+        monkeypatch.setattr(keyrate, "secure_key_rate", recording)
+        opt = optimize_modulation(n0, REF_DET, REF_DET, ChannelModel(0.2, length), eps0=eps0)
+        assert opt.feasible == feasible
+        assert any(v == opt.v_a and r is opt.report for v, r in evaluated)
+        # No point is evaluated twice: the optimum is not re-evaluated.
+        assert len({v for v, _ in evaluated}) == len(evaluated)
+
+    def test_feasible_is_read_from_the_report(self):
+        report = secure_key_rate(ProtocolParams(n0=50.0, v_a=1.0), REF_DET, REF_DET, ChannelModel(0.2, 10.0))
+        assert [f.name for f in dataclasses.fields(ModulationOptimum)] == ["v_a", "report"]
+        assert ModulationOptimum(v_a=1.0, report=report).feasible == (report.rate_raw > 0.0)
+
+
+class TestOverflow:
+    """An overflow anywhere in the rate chain is a PhysicalityError, never a
+    Python OverflowError, a numpy warning or a NaN that reaches g_function."""
+
+    @pytest.mark.parametrize(
+        "det, eps0",
+        [(REF_DET, 1e200), (REF_DET, 1e100), (DetectorModel(0.5, 1e300), 0.01), (DetectorModel(1e-300, 0.1), 0.01)],
+        ids=["eps0-1e200", "eps0-1e100", "v_el-1e300", "eta_d-1e-300"],
+    )
+    def test_holevo_bound_overflow(self, det, eps0):
+        params = ProtocolParams(n0=100.0, v_a=1.0, eps0=eps0)
+        with pytest.raises(PhysicalityError, match="eigenvalue pair overflows"):
+            secure_key_rate(params, det, det, ChannelModel(0.2, 10.0))
+        with pytest.raises(PhysicalityError, match="eigenvalue pair overflows"):
+            optimize_modulation(100.0, det, det, ChannelModel(0.2, 10.0), eps0=eps0)
+
+    def test_noise_budget_overflow(self):
+        det = DetectorModel(0.5, 1e308)
+        with pytest.raises(PhysicalityError, match="noise budget overflows"):
+            secure_key_rate(ProtocolParams(n0=100.0, v_a=1.0), det, det, ChannelModel(0.2, 10.0))
 
 
 def test_displaced_gaussian_oracle_sanity():
