@@ -7,12 +7,17 @@ eavesdropper's information about the receiver's data under collective
 attacks, computed from the symplectic eigenvalues of the relevant
 covariance matrices.  Receiver detection noise is trusted; preparation
 noise and channel excess noise are not.
+
+Each formula is written once for floats and numpy arrays alike: a float
+computes with ``math``, anything else with numpy, and ``max``, the
+``x log2 x`` limit at 0 and the discriminant snap are branch-free forms.
+The optimizer evaluates its whole coarse grid in one array call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,72 +46,102 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 COARSE_POINTS = 256
 REL_TOL = 1e-6
 
+# A float, or an array of them evaluated elementwise.
+FloatOrArray = float | np.ndarray
+
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Key-rate evaluation at one parameter point.
+    """Key-rate evaluation at one parameter point, or at each of an array
+    of modulation variances: then every field is an array over them, but
+    the fifth eigenvalue, which stays the float 1.0.
 
     ``rate_raw`` may be negative (infeasible configuration); ``rate`` is
     clamped at zero.
     """
 
-    i_ab: float
-    lambdas: tuple[float, float, float, float, float]
-    chi_be: float
-    rate_raw: float
-    rate: float
+    i_ab: FloatOrArray
+    lambdas: tuple[FloatOrArray, FloatOrArray, FloatOrArray, FloatOrArray, float]
+    chi_be: FloatOrArray
+    rate_raw: FloatOrArray
+    rate: FloatOrArray
 
 
-def g_function(x: float) -> float:
+def _require(ok, error: type[Exception], message: str, *values) -> None:
+    """Raise ``error(message.format(*values))`` unless the comparison ``ok``
+    holds, at every element when it is an array; the message then shows
+    the values at the first element where it fails.
+
+    Callers test ``ok is not True`` first, so a float that passes costs one
+    identity test.
+    """
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        i = int(np.argmin(ok))
+        values = [v[i].item() if isinstance(v, np.ndarray) else v for v in values]
+    elif ok:
+        return
+    raise error(message.format(*values))
+
+
+def g_function(x: FloatOrArray) -> FloatOrArray:
     """Bosonic entropy ``(x + 1) log2(x + 1) - x log2(x)``, with value 0 at 0.
 
-    Strictly increasing on x > 0; the Holevo bound is a signed sum of
-    these terms evaluated at ``(lambda - 1) / 2``.
+    Takes a float or an array.  Strictly increasing on x > 0; the Holevo
+    bound is a signed sum of these terms evaluated at ``(lambda - 1) / 2``.
     """
-    if not (x >= 0.0):
-        raise ParameterError(f"g_function argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    ok = x >= 0.0
+    if ok is not True:
+        _require(ok, ParameterError, "g_function argument must be >= 0, got {}", x)
+    log2 = math.log2 if type(x) is float else np.log2
+    # x log2(x) -> 0 as x -> 0: adding (x == 0) makes the logarithm's argument 1 there.
+    return (x + 1.0) * log2(x + 1.0) - x * log2(x + (x == 0.0))
 
 
-def mutual_information(v_a: float, chi_tot: float) -> float:
+def mutual_information(v_a: FloatOrArray, chi_tot: FloatOrArray) -> FloatOrArray:
     """Shannon mutual information ``log2[(V + chi_tot) / (1 + chi_tot)]``
-    with ``V = v_a + 1``, counting both quadratures."""
-    if not (v_a >= 0.0 and math.isfinite(v_a)):
-        raise ParameterError(f"modulation variance must be >= 0, got {v_a}")
-    if not (chi_tot >= 0.0):
-        raise ParameterError(f"total noise must be >= 0, got {chi_tot}")
-    return math.log2((v_a + 1.0 + chi_tot) / (1.0 + chi_tot))
+    with ``V = v_a + 1``, counting both quadratures; floats or arrays."""
+    ok = (v_a >= 0.0) & (v_a < math.inf)
+    if ok is not True:
+        _require(ok, ParameterError, "modulation variance must be >= 0, got {}", v_a)
+    ok = chi_tot >= 0.0
+    if ok is not True:
+        _require(ok, ParameterError, "total noise must be >= 0, got {}", chi_tot)
+    ratio = (v_a + 1.0 + chi_tot) / (1.0 + chi_tot)
+    return math.log2(ratio) if type(ratio) is float else np.log2(ratio)
 
 
-def _symplectic_pair(s: float, p: float, label: str) -> tuple[float, float]:
+def _symplectic_pair(s: FloatOrArray, p: FloatOrArray, label: str) -> tuple[FloatOrArray, FloatOrArray]:
     """Roots of ``lambda^4 - s lambda^2 + p = 0``: the squared pair is
-    ``(s +/- sqrt(s^2 - 4p)) / 2``.
+    ``(s +/- sqrt(s^2 - 4p)) / 2``; floats or arrays.
 
     Cancellation can push the discriminant slightly past zero in either
     direction when the pair is degenerate; values within DISCRIMINANT_TOL
     are treated as an exact double root so that an identity channel
     returns eigenvalues of exactly 1.
     """
+    sqrt = math.sqrt if type(s) is float else np.sqrt
     disc = s * s - 4.0 * p
-    if not math.isfinite(disc):
-        raise PhysicalityError(f"{label} eigenvalue pair overflows: discriminant is {disc}")
-    if disc < -DISCRIMINANT_TOL:
-        raise PhysicalityError(f"negative discriminant {disc:.3e} for {label} eigenvalue pair")
-    if abs(disc) <= DISCRIMINANT_TOL:
-        disc = 0.0
-    root = math.sqrt(disc)
+    ok = abs(disc) < math.inf
+    if ok is not True:
+        _require(ok, PhysicalityError, "{} eigenvalue pair overflows: discriminant is {}", label, disc)
+    ok = disc >= -DISCRIMINANT_TOL
+    if ok is not True:
+        _require(ok, PhysicalityError, "negative discriminant {:.3e} for {} eigenvalue pair", disc, label)
+    # Multiplying by False snaps a discriminant within tolerance to zero.
+    root = sqrt(disc * (abs(disc) > DISCRIMINANT_TOL))
     hi = (s + root) / 2.0
     lo = (s - root) / 2.0
-    if hi < 0.0 or lo < 0.0:
-        raise PhysicalityError(f"negative squared eigenvalue for {label} pair: {hi:.3e}, {lo:.3e}")
-    return math.sqrt(hi), math.sqrt(lo)
+    ok = (hi >= 0.0) & (lo >= 0.0)
+    if ok is not True:
+        _require(ok, PhysicalityError, "negative squared eigenvalue for {} pair: {:.3e}, {:.3e}", label, hi, lo)
+    return sqrt(hi), sqrt(lo)
 
 
 def holevo_bound(
-    v_a: float, t: float, chi_line: float, chi_het: float
-) -> tuple[float, tuple[float, float, float, float, float]]:
+    v_a: FloatOrArray, t: FloatOrArray, chi_line: FloatOrArray, chi_het: FloatOrArray
+) -> tuple[FloatOrArray, tuple[FloatOrArray, FloatOrArray, FloatOrArray, FloatOrArray, float]]:
     """Holevo bound between the eavesdropper and the receiver's data.
 
     Args:
@@ -116,6 +151,9 @@ def holevo_bound(
         chi_het: receiver-added noise referred to the receiver input
             (trusted, so it enters only through the measured state).
 
+    Any argument may be an array instead of a float; the results then are
+    arrays of the broadcast shape.
+
     Returns:
         ``(chi_be, lambdas)`` with ``chi_be`` in bits per channel use and
         the five symplectic eigenvalues, largest of each pair first; the
@@ -123,16 +161,21 @@ def holevo_bound(
 
     Raises:
         PhysicalityError: if a discriminant overflows, or it or an
-            eigenvalue violates physicality beyond tolerance.
+            eigenvalue violates physicality beyond tolerance; for arrays,
+            with the values at the first failing element.
     """
-    if not (v_a > 0.0 and math.isfinite(v_a)):
-        raise ParameterError(f"modulation variance must be > 0, got {v_a}")
-    if not (0.0 < t <= 1.0):
-        raise ParameterError(f"transmittance must be in (0, 1], got {t}")
-    if not (chi_line >= 0.0 and math.isfinite(chi_line)):
-        raise ParameterError(f"channel noise must be >= 0, got {chi_line}")
-    if not (chi_het >= 0.0 and math.isfinite(chi_het)):
-        raise ParameterError(f"receiver noise must be >= 0, got {chi_het}")
+    ok = (v_a > 0.0) & (v_a < math.inf)
+    if ok is not True:
+        _require(ok, ParameterError, "modulation variance must be > 0, got {}", v_a)
+    ok = (t > 0.0) & (t <= 1.0)
+    if ok is not True:
+        _require(ok, ParameterError, "transmittance must be in (0, 1], got {}", t)
+    ok = (chi_line >= 0.0) & (chi_line < math.inf)
+    if ok is not True:
+        _require(ok, ParameterError, "channel noise must be >= 0, got {}", chi_line)
+    ok = (chi_het >= 0.0) & (chi_het < math.inf)
+    if ok is not True:
+        _require(ok, ParameterError, "receiver noise must be >= 0, got {}", chi_het)
 
     v = v_a + 1.0
     chi_tot = chi_line + chi_het / t
@@ -157,18 +200,21 @@ def holevo_bound(
     d = v_b_het * v_b_het / denom
     lam3, lam4 = _symplectic_pair(c, d, "conditional")
 
-    lambdas = (lam1, lam2, lam3, lam4, 1.0)
-    for lam in lambdas:
-        if lam < 1.0 - EIGENVALUE_TOL:
-            raise PhysicalityError(f"symplectic eigenvalue {lam!r} below 1 beyond tolerance")
+    for lam in (lam1, lam2, lam3, lam4):
+        ok = lam >= 1.0 - EIGENVALUE_TOL
+        if ok is not True:
+            _require(ok, PhysicalityError, "symplectic eigenvalue {!r} below 1 beyond tolerance", lam)
 
+    # Within tolerance an eigenvalue may sit just below 1; its term is g(0):
+    # (x + |x|) / 4 is max(x, 0) / 2, exactly.
+    x1, x2, x3, x4 = lam1 - 1.0, lam2 - 1.0, lam3 - 1.0, lam4 - 1.0
     chi_be = (
-        g_function(max(lam1 - 1.0, 0.0) / 2.0)
-        + g_function(max(lam2 - 1.0, 0.0) / 2.0)
-        - g_function(max(lam3 - 1.0, 0.0) / 2.0)
-        - g_function(max(lam4 - 1.0, 0.0) / 2.0)
+        g_function((x1 + abs(x1)) / 4.0)
+        + g_function((x2 + abs(x2)) / 4.0)
+        - g_function((x3 + abs(x3)) / 4.0)
+        - g_function((x4 + abs(x4)) / 4.0)
     )
-    return chi_be, lambdas
+    return chi_be, (lam1, lam2, lam3, lam4, 1.0)
 
 
 def secure_key_rate(
@@ -178,20 +224,31 @@ def secure_key_rate(
     ch: ChannelModel,
 ) -> KeyRateReport:
     """Evaluate the asymptotic secure key rate for one configuration; an
-    overflow of the noise budget or the Holevo bound is a PhysicalityError."""
-    budget = total_noise(params, det_a, det_b, ch)
-    if not math.isfinite(budget.chi_tot):
-        raise PhysicalityError(f"noise budget overflows: total noise is {budget.chi_tot}")
-    i_ab = mutual_information(params.v_a, budget.chi_tot)
-    chi_be, lambdas = holevo_bound(params.v_a, ch.t, budget.chi_line, budget.chi_het)
+    overflow of the noise budget or the Holevo bound is a PhysicalityError.
+
+    With an array of variances ``params.v_a`` the report holds arrays,
+    and the error raised is the one the float evaluation raises at the
+    first failing variance.  Run it under ``np.errstate`` to keep an
+    overflow from warning before it raises.
+    """
+    try:
+        budget = total_noise(params, det_a, det_b, ch)
+        ok = abs(budget.chi_tot) < math.inf
+        if ok is not True:
+            _require(ok, PhysicalityError, "noise budget overflows: total noise is {}", budget.chi_tot)
+        i_ab = mutual_information(params.v_a, budget.chi_tot)
+        chi_be, lambdas = holevo_bound(params.v_a, ch.t, budget.chi_line, budget.chi_het)
+    except PhysicalityError:
+        if isinstance(params.v_a, np.ndarray):
+            # Each check above ran over every variance before the next one;
+            # the float evaluations, in order, raise the first failing one's error.
+            for v_a in params.v_a.tolist():
+                secure_key_rate(replace(params, v_a=v_a), det_a, det_b, ch)
+        raise
     rate_raw = params.f * i_ab - chi_be
-    return KeyRateReport(
-        i_ab=i_ab,
-        lambdas=lambdas,
-        chi_be=chi_be,
-        rate_raw=rate_raw,
-        rate=max(rate_raw, 0.0),
-    )
+    # Positional: keywords cost a frozen dataclass ~0.5 us per call here.
+    # (x + |x|) / 2 is max(x, 0) for floats and arrays alike, exactly.
+    return KeyRateReport(i_ab, lambdas, chi_be, rate_raw, (rate_raw + abs(rate_raw)) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -222,10 +279,11 @@ def optimize_modulation(
     """Maximize the key rate over the modulation variance in
     ``[min(0.01, n0), min(20, n0)]``.
 
-    A logarithmic coarse scan of ``COARSE_POINTS`` points guards against
-    multimodality, then a golden-section refinement narrows the bracket
-    around the best coarse point to relative width ``REL_TOL``.  Near-ties
-    resolve toward the smaller modulation variance.
+    A logarithmic coarse scan of ``COARSE_POINTS`` points, one array
+    evaluation, guards against multimodality, then a golden-section
+    refinement of float evaluations narrows the bracket around the best
+    coarse point to relative width ``REL_TOL``.  Near-ties resolve toward
+    the smaller modulation variance.
 
     Args:
         n0: source mean photon number (upper limit on the variance).
@@ -234,19 +292,32 @@ def optimize_modulation(
         ModulationOptimum: the best variance and the report the search made there.
     """
     lo, hi = min(0.01, n0), min(20.0, n0)
+    # geomspace rejects [0, 0]; n0 = 0 must reach ProtocolParams' check instead.
+    grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, COARSE_POINTS)
+    # The one validation of n0, f, eps0 and the grid; an overflow in the
+    # array evaluation is its PhysicalityError, not a numpy warning.
+    params = ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan = secure_key_rate(params, det_a, det_b, ch)
+    best = int(np.argmax(scan.rate_raw))  # argmax takes the first, i.e. smallest v_a
 
     def evaluate(v_a: float) -> KeyRateReport:
-        params = ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0)
-        return secure_key_rate(params, det_a, det_b, ch)
+        return secure_key_rate(ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0), det_a, det_b, ch)
 
-    # geomspace rejects [0, 0]; n0 = 0 must reach ProtocolParams' check instead.
-    grid = [lo] if lo == hi else np.geomspace(lo, hi, COARSE_POINTS).tolist()
-    reports = [evaluate(v) for v in grid]
-    best = int(np.argmax([r.rate_raw for r in reports]))  # argmax takes the first, i.e. smallest v_a
+    def coarse(i: int) -> KeyRateReport:
+        """The scan's report at grid point ``i``, in Python floats."""
 
+        def at(x):
+            return x[i].item() if isinstance(x, np.ndarray) else x
+
+        return KeyRateReport(
+            at(scan.i_ab), tuple(map(at, scan.lambdas)), at(scan.chi_be), at(scan.rate_raw), at(scan.rate)
+        )
+
+    grid = grid.tolist()  # the refinement computes in Python floats
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, len(grid) - 1)]
-    best_v, best_r = grid[best], reports[best]
+    best_v, best_r = grid[best], coarse(best)
 
     # Golden-section maximization of the raw rate on [a, b].
     c = b - _INV_PHI * (b - a)
@@ -267,4 +338,4 @@ def optimize_modulation(
             best_v, best_r = v, r
 
     optimum = ModulationOptimum(v_a=best_v, report=best_r)
-    return optimum if optimum.feasible else ModulationOptimum(v_a=lo, report=reports[0])
+    return optimum if optimum.feasible else ModulationOptimum(v_a=lo, report=coarse(0))

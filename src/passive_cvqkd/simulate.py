@@ -22,7 +22,6 @@ import math
 import os
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +217,9 @@ def run_protocol(
         # partition or per usable CPU would sit idle.
         pool_size = min(workers or 1, len(counts), _usable_cpus())
         if pool_size > 1:
+            # Imported here: the serial run and the other commands never need it.
+            from concurrent.futures import ProcessPoolExecutor
+
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size)).map
         results = list(mapper(_partition_sums, itertools.repeat(cfg), range(len(counts)), counts, first_rows, parts))
         if dump_path is not None:
@@ -230,15 +232,20 @@ def run_protocol(
     moments, d2_sum, d4_sum = (sum(col) for col in zip(*results))
 
     n = cfg.count
-    second = moments / n
     # Standard error of a raw second moment of a zero-mean Gaussian:
-    # var(m_ij) = (m_ii m_jj + m_ij^2) / n.
-    diag = np.diag(second)
-    stderr = np.sqrt((np.outer(diag, diag) + second**2) / n)
+    # var(m_ij) = (m_ii m_jj + m_ij^2) / n.  Huge noise settings can
+    # overflow the sums or these products; that is reported below, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        second = moments / n
+        diag = np.diag(second)
+        stderr = np.sqrt((np.outer(diag, diag) + second**2) / n)
+    # d4_sum bounds d2_sum, and with it delta_hat**2 (Cauchy-Schwarz).
+    if not (np.isfinite(stderr).all() and math.isfinite(d4_sum)):
+        raise ParameterError("simulated second moments overflow")
 
     n_q = 2.0 * n  # both quadratures pooled
     delta_hat = float(d2_sum / n_q)
-    var_d2 = max(float(d4_sum / n_q) - delta_hat**2, 0.0)
+    var_d2 = max(float(d4_sum / n_q) - delta_hat * delta_hat, 0.0)
     return SimSummary(n, second, stderr, delta_hat, math.sqrt(var_d2 / n_q))
 
 

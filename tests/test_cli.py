@@ -1,6 +1,10 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import passive_cvqkd
 from passive_cvqkd import (
     ChannelModel,
     DegenerateDataError,
@@ -28,6 +33,7 @@ from passive_cvqkd.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    compute_sweep,
     main,
     parse_axis,
     parse_config_file,
@@ -293,6 +299,19 @@ class TestSweep:
     def test_empty_axis_is_usage_error(self):
         assert main(["sweep", "--length", " "]) == EXIT_CONFIG
 
+    def test_default_sweep_allocates_no_grid_sized_array(self):
+        """Peak traced allocation of the default sweep, its 303 results
+        included: ~245 kB measured (~175 kB of it the results), where one
+        float array over the whole 303 x 256 coarse grid alone is 620 kB."""
+        compute_sweep(DEFAULTS)  # first-call caches are not the sweep's
+        tracemalloc.start()
+        try:
+            compute_sweep(DEFAULTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
+
 
 class TestSimulate:
     def test_report_passes_and_reproduces(self, tmp_path):
@@ -532,6 +551,16 @@ def _at_100_photons_10_km(*argv):
                 (("optimize", "--v-el", "1e308"), "noise budget overflows"),
             ]
         ),
+        # Overflow of the simulator's statistics is a configuration error.
+        *(
+            pytest.param(
+                _at_100_photons_10_km("simulate", "--va", "1", "--count", "1000", *argv),
+                EXIT_CONFIG,
+                "simulated second moments overflow",
+                id="-".join(("simulate", *argv)).replace("--", ""),
+            )
+            for argv in [("--v-el", "1e300"), ("--v-el", "1e308"), ("--eta-d", "1e-300")]
+        ),
     ],
 )
 def test_error_exit_prints_one_error_line(make_argv, code, message, tmp_path, capsys):
@@ -542,6 +571,16 @@ def test_error_exit_prints_one_error_line(make_argv, code, message, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # Only a pooled simulate run needs concurrent.futures; the import costs
+    # every other command memory and start-up time.
+    src = os.path.dirname(os.path.dirname(passive_cvqkd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, passive_cvqkd.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_unknown_command_exits_with_usage_error():

@@ -1,15 +1,19 @@
 """Mutual information, Holevo bound, and the modulation optimizer."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_optimum, displaced_gaussian_g2, holevo_bound_mp, key_rate_mp
 from passive_cvqkd import (
     ChannelModel,
     DetectorModel,
+    KeyRateReport,
     ModulationOptimum,
     ParameterError,
     PhysicalityError,
@@ -17,13 +21,33 @@ from passive_cvqkd import (
     TransmittanceFloorWarning,
     g_function,
     holevo_bound,
-    keyrate,
     mutual_information,
     optimize_modulation,
     secure_key_rate,
 )
+from passive_cvqkd.keyrate import COARSE_POINTS
 
 REF_DET = DetectorModel(0.5, 0.1)
+ULPS = 4
+
+
+def assert_reports_agree(got, want, f):
+    """Every field of ``got`` is a float within ULPS ulp of ``want``'s,
+    each ulp taken of the magnitudes the field is summed from.
+
+    The two chains differ only in their logarithms (numpy's against
+    math's, each within an ulp), so ``i_ab`` may move by an ulp of
+    itself, ``chi_be`` by ulps of the sum of its eight ``x log2 x``-type
+    terms' magnitudes and the rates by those of that sum plus ``f i_ab``;
+    the eigenvalues take no logarithm and must agree exactly.
+    """
+    assert [type(x) for x in (got.i_ab, got.chi_be, got.rate_raw, got.rate, *got.lambdas)] == [float] * 9
+    assert got.lambdas == want.lambdas
+    xs = [max(lam - 1.0, 0.0) / 2.0 for lam in want.lambdas]
+    terms = sum((x + 1.0) * math.log2(x + 1.0) + (abs(x * math.log2(x)) if x else 0.0) for x in xs)
+    rate_scale = terms + f * want.i_ab
+    for name, scale in (("i_ab", want.i_ab), ("chi_be", terms), ("rate_raw", rate_scale), ("rate", rate_scale)):
+        assert abs(getattr(got, name) - getattr(want, name)) <= ULPS * math.ulp(scale), name
 
 # Frozen from an independent 60-digit evaluation of the eigenvalue chain
 # at (v_a=1, t=0.1, chi_line=9.02, chi_het=3.4).
@@ -218,41 +242,88 @@ class TestOptimizeModulation:
         opt = optimize_modulation(0.005, REF_DET, REF_DET, ChannelModel(0.2, 10.0))
         assert opt.v_a == 0.005
 
-    def test_search_builds_python_floats(self, monkeypatch):
-        built = []
-
-        def recording(**kwargs):
-            built.append(kwargs["v_a"])
-            return ProtocolParams(**kwargs)
-
-        monkeypatch.setattr(keyrate, "ProtocolParams", recording)
-        optimize_modulation(500.0, REF_DET, REF_DET, ChannelModel(0.2, 20.0))
-        assert built and {type(v) for v in built} == {float}
-
     @pytest.mark.parametrize(
         "n0, length, eps0, feasible",
         [(500.0, 20.0, 0.01, True), (50.0, 50.0, 1.0, False)],
         ids=["feasible", "infeasible"],
     )
-    def test_returns_a_report_the_search_evaluated(self, n0, length, eps0, feasible, monkeypatch):
-        evaluated = []
-
-        def recording(params, *args):
-            report = secure_key_rate(params, *args)
-            evaluated.append((params.v_a, report))
-            return report
-
-        monkeypatch.setattr(keyrate, "secure_key_rate", recording)
-        opt = optimize_modulation(n0, REF_DET, REF_DET, ChannelModel(0.2, length), eps0=eps0)
+    def test_returns_a_float_variance_and_its_report(self, n0, length, eps0, feasible):
+        ch = ChannelModel(0.2, length)
+        opt = optimize_modulation(n0, REF_DET, REF_DET, ch, eps0=eps0)
         assert opt.feasible == feasible
-        assert any(v == opt.v_a and r is opt.report for v, r in evaluated)
-        # No point is evaluated twice: the optimum is not re-evaluated.
-        assert len({v for v, _ in evaluated}) == len(evaluated)
+        assert type(opt.v_a) is float
+        want = secure_key_rate(ProtocolParams(n0=n0, v_a=opt.v_a, eps0=eps0), REF_DET, REF_DET, ch)
+        assert_reports_agree(opt.report, want, f=0.95)
 
     def test_feasible_is_read_from_the_report(self):
         report = secure_key_rate(ProtocolParams(n0=50.0, v_a=1.0), REF_DET, REF_DET, ChannelModel(0.2, 10.0))
         assert [f.name for f in dataclasses.fields(ModulationOptimum)] == ["v_a", "report"]
         assert ModulationOptimum(v_a=1.0, report=report).feasible == (report.rate_raw > 0.0)
+
+
+def detectors():
+    return st.one_of(
+        st.just(DetectorModel(1.0, 0.0)),
+        st.builds(
+            DetectorModel,
+            st.floats(1e-300, 1.0),
+            st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300)),
+        ),
+    )
+
+
+def report_at(report, i):
+    """The float report at index ``i`` of an array evaluation."""
+
+    def at(x):
+        return x[i].item() if isinstance(x, np.ndarray) else x
+
+    return KeyRateReport(at(report.i_ab), tuple(map(at, report.lambdas)), at(report.chi_be), at(report.rate_raw), at(report.rate))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    n0=st.floats(0.005, 2e4),
+    length=st.floats(0.0, 800.0),
+    det_a=detectors(),
+    det_b=detectors(),
+    f=st.floats(0.0, 1.0, exclude_min=True),
+    eps0=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e308)),
+)
+@example(n0=100.0, length=10.0, det_a=REF_DET, det_b=REF_DET, f=0.95, eps0=1e200)
+@example(n0=100.0, length=10.0, det_a=DetectorModel(0.5, 1e308), det_b=DetectorModel(0.5, 1e308), f=0.95, eps0=0.01)
+# Small variances fail the Holevo bound, large ones the noise budget, which is checked first.
+@example(n0=10.0, length=600.0, det_a=DetectorModel(1e-20, 1e289), det_b=REF_DET, f=0.95, eps0=0.01)
+@example(n0=0.005, length=10.0, det_a=REF_DET, det_b=REF_DET, f=0.95, eps0=0.01)
+@example(n0=500.0, length=800.0, det_a=REF_DET, det_b=REF_DET, f=0.95, eps0=0.01)
+def test_array_evaluation_agrees_with_float_evaluations(n0, length, det_a, det_b, f, eps0):
+    """The optimizer's coarse scan, one array evaluation, gives each grid
+    point's float report to ULPS ulp, and raises exactly when the float
+    evaluations do, with the error of the first failing point."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TransmittanceFloorWarning)  # lengths past ~750 km clamp
+        ch = ChannelModel(0.2, length)
+    lo, hi = min(0.01, n0), min(20.0, n0)
+    grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, COARSE_POINTS)
+
+    array_error = float_error = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scan = secure_key_rate(ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0), det_a, det_b, ch)
+    except PhysicalityError as exc:
+        array_error = str(exc)
+    reports = []
+    for v_a in grid.tolist():
+        try:
+            reports.append(secure_key_rate(ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0), det_a, det_b, ch))
+        except PhysicalityError as exc:
+            float_error = str(exc)
+            break
+
+    assert array_error == float_error
+    if float_error is None:
+        for i, want in enumerate(reports):
+            assert_reports_agree(report_at(scan, i), want, f)
 
 
 class TestOverflow:

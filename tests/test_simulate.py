@@ -275,7 +275,7 @@ def sizes(monkeypatch):
             calls = (pickle.loads(pickle.dumps(args)) for args in zip(*iterables))
             return [pickle.loads(pickle.dumps(fn(*args))) for args in calls]
 
-    monkeypatch.setattr("passive_cvqkd.simulate.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr("passive_cvqkd.simulate._usable_cpus", lambda: 64)
     return sizes
 
