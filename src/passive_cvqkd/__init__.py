@@ -29,15 +29,7 @@ from .gaussian import (
     heterodyne_measure,
     sample_thermal_quadratures,
 )
-from .keyrate import (
-    KeyRateReport,
-    ModulationOptimum,
-    g_function,
-    holevo_bound,
-    mutual_information,
-    optimize_modulation,
-    secure_key_rate,
-)
+from .keyrate import KeyRateReport, optimize_modulation, secure_key_rate
 from .noise import (
     ChannelModel,
     NoiseBudget,
@@ -63,7 +55,6 @@ __all__ = [
     "DetectorModel",
     "G2Result",
     "KeyRateReport",
-    "ModulationOptimum",
     "NoiseBudget",
     "ParameterError",
     "PhysicalityError",
@@ -81,12 +72,9 @@ __all__ = [
     "excess_noise_alice",
     "export_histogram",
     "g2_estimate",
-    "g_function",
     "heterodyne_measure",
     "heterodyne_noise",
-    "holevo_bound",
     "load_quadrature_records",
-    "mutual_information",
     "optimize_modulation",
     "run_protocol",
     "sample_thermal_quadratures",

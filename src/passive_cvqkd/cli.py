@@ -24,7 +24,7 @@ from .errors import (
 )
 from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
 from .gaussian import DetectorModel
-from .keyrate import ModulationOptimum, mutual_information, optimize_modulation, secure_key_rate
+from .keyrate import KeyRateReport, mutual_information, optimize_modulation, secure_key_rate
 from .noise import ChannelModel, ProtocolParams, total_noise
 from .simulate import (
     SimConfig,
@@ -194,8 +194,8 @@ def _write_lines(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, ModulationOptimum]]:
-    """Evaluate the (n0, length) grid; one optimized entry per pair."""
+def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, KeyRateReport]]:
+    """Evaluate the (n0, length) grid; one report per pair, optimized unless ``va`` is set."""
     s = _read(settings, _KEYS["sweep"])
     det_a, det_b = _detectors(settings, s)
     if not s["n0"] or not s["length"]:
@@ -206,11 +206,11 @@ def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, Modulati
         for length in s["length"]:
             ch = ChannelModel(s["gamma"], length)
             if s["va"] is None:
-                opt = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
+                report = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
             else:
                 params = ProtocolParams(n0=n0, v_a=s["va"], f=s["f"], eps0=s["eps0"])
-                opt = ModulationOptimum(v_a=s["va"], report=secure_key_rate(params, det_a, det_b, ch))
-            rows.append((length, n0, opt))
+                report = secure_key_rate(params, det_a, det_b, ch)
+            rows.append((length, n0, report))
     return rows
 
 
@@ -218,11 +218,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = _settings_from(args)
     rows = compute_sweep(settings)
     lines = [SWEEP_HEADER]
-    for length, n0, opt in rows:
-        r = opt.report
+    for length, n0, r in rows:
         lines.append(
             ",".join(
-                (_fmt(length), _fmt(n0), _fmt(opt.v_a), _fmt(r.i_ab), _fmt(r.chi_be), _fmt(r.rate_raw), _fmt(r.rate))
+                (_fmt(length), _fmt(n0), _fmt(r.v_a), _fmt(r.i_ab), _fmt(r.chi_be), _fmt(r.rate_raw), _fmt(r.rate))
             )
         )
     _write_lines(lines, settings.get("out"))
@@ -230,12 +229,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _verdict_lines(name: str, analytic: float, empirical: float | None, stderr: float) -> list[str]:
-    """Closed form against estimate; with no estimate the verdict is SKIP."""
+    """Closed form against estimate; with no estimate the verdict is SKIP.
+    With zero standard error, z is 0 on exact agreement, else infinite."""
     if empirical is None:
         empirical = z = math.nan
         verdict = "SKIP"
     else:
-        z = (empirical - analytic) / stderr if stderr > 0 else math.inf
+        z = (empirical - analytic) / stderr if stderr > 0 else (0.0 if empirical == analytic else math.inf)
         verdict = "PASS" if abs(z) <= 5.0 else "FAIL"
     return [
         f"{name}_analytic={_fmt(analytic)}",
@@ -353,14 +353,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     n0 = _single(s["n0"], "n0")
     length = _single(s["length"], "length")
     ch = ChannelModel(s["gamma"], length)
-    opt = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
-    r = opt.report
+    r = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
     lines = [
         "command=optimize",
         f"n0={_fmt(n0)}",
         f"L_km={_fmt(length)}",
-        f"V_A_opt={_fmt(opt.v_a)}",
-        f"feasible={'true' if opt.feasible else 'false'}",
+        f"V_A_opt={_fmt(r.v_a)}",
+        f"feasible={'true' if r.feasible else 'false'}",
         f"I_AB={_fmt(r.i_ab)}",
         f"chi_BE={_fmt(r.chi_be)}",
         f"R_raw={_fmt(r.rate_raw)}",

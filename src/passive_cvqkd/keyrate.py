@@ -8,6 +8,15 @@ attacks, computed from the symplectic eigenvalues of the relevant
 covariance matrices.  Receiver detection noise is trusted; preparation
 noise and channel excess noise are not.
 
+The engine has two entry points: ``secure_key_rate`` evaluates one
+configuration and ``optimize_modulation`` searches the modulation
+variance.  Both return a ``KeyRateReport``, which carries its variance
+and derives ``rate`` and ``feasible`` from ``rate_raw``.  They validate
+at that boundary: the parameter dataclasses check their inputs and
+``secure_key_rate`` rejects an overflowing noise budget, so the formula
+steps ``g_function``, ``mutual_information`` and ``holevo_bound`` are
+internal and check only what those inputs can still violate.
+
 Each formula is written once for floats and numpy arrays alike: a float
 computes with ``math``, anything else with numpy, and ``max``, the
 ``x log2 x`` limit at 0 and the discriminant snap are branch-free forms.
@@ -25,15 +34,7 @@ from .errors import ParameterError, PhysicalityError
 from .gaussian import DetectorModel
 from .noise import ChannelModel, ProtocolParams, total_noise
 
-__all__ = [
-    "KeyRateReport",
-    "ModulationOptimum",
-    "g_function",
-    "holevo_bound",
-    "mutual_information",
-    "optimize_modulation",
-    "secure_key_rate",
-]
+__all__ = ["KeyRateReport", "optimize_modulation", "secure_key_rate"]
 
 # Absolute tolerances for floating-point cancellation in the eigenvalue
 # discriminants and for physicality of the eigenvalues themselves.
@@ -52,19 +53,38 @@ FloatOrArray = float | np.ndarray
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Key-rate evaluation at one parameter point, or at each of an array
-    of modulation variances: then every field is an array over them, but
-    the fifth eigenvalue, which stays the float 1.0.
+    """Key-rate evaluation at modulation variance ``v_a``, or at each of an
+    array of them: then every field is an array over them, but the fifth
+    eigenvalue, which stays the float 1.0.
 
     ``rate_raw`` may be negative (infeasible configuration); ``rate`` is
-    clamped at zero.
+    clamped at zero, and ``feasible`` is ``rate_raw > 0``.
     """
 
+    v_a: FloatOrArray
     i_ab: FloatOrArray
     lambdas: tuple[FloatOrArray, FloatOrArray, FloatOrArray, FloatOrArray, float]
     chi_be: FloatOrArray
     rate_raw: FloatOrArray
-    rate: FloatOrArray
+
+    @property
+    def rate(self) -> FloatOrArray:
+        # (x + |x|) / 2 is max(x, 0) for floats and arrays alike, exactly.
+        return (self.rate_raw + abs(self.rate_raw)) / 2.0
+
+    @property
+    def feasible(self) -> bool | np.ndarray:
+        return self.rate_raw > 0.0
+
+    def at(self, i: int) -> KeyRateReport:
+        """The report at index ``i`` of an array evaluation, in Python floats."""
+
+        def item(x):
+            return x[i].item() if isinstance(x, np.ndarray) else x
+
+        return KeyRateReport(
+            item(self.v_a), item(self.i_ab), tuple(map(item, self.lambdas)), item(self.chi_be), item(self.rate_raw)
+        )
 
 
 def _require(ok, error: type[Exception], message: str, *values) -> None:
@@ -88,12 +108,10 @@ def _require(ok, error: type[Exception], message: str, *values) -> None:
 def g_function(x: FloatOrArray) -> FloatOrArray:
     """Bosonic entropy ``(x + 1) log2(x + 1) - x log2(x)``, with value 0 at 0.
 
-    Takes a float or an array.  Strictly increasing on x > 0; the Holevo
-    bound is a signed sum of these terms evaluated at ``(lambda - 1) / 2``.
+    Takes a float or an array, each ``x >= 0``.  Strictly increasing on
+    x > 0; the Holevo bound is a signed sum of these terms evaluated at
+    ``(lambda - 1) / 2``, which its eigenvalue floors keep non-negative.
     """
-    ok = x >= 0.0
-    if ok is not True:
-        _require(ok, ParameterError, "g_function argument must be >= 0, got {}", x)
     log2 = math.log2 if type(x) is float else np.log2
     # x log2(x) -> 0 as x -> 0: adding (x == 0) makes the logarithm's argument 1 there.
     return (x + 1.0) * log2(x + 1.0) - x * log2(x + (x == 0.0))
@@ -102,12 +120,6 @@ def g_function(x: FloatOrArray) -> FloatOrArray:
 def mutual_information(v_a: FloatOrArray, chi_tot: FloatOrArray) -> FloatOrArray:
     """Shannon mutual information ``log2[(V + chi_tot) / (1 + chi_tot)]``
     with ``V = v_a + 1``, counting both quadratures; floats or arrays."""
-    ok = (v_a >= 0.0) & (v_a < math.inf)
-    if ok is not True:
-        _require(ok, ParameterError, "modulation variance must be >= 0, got {}", v_a)
-    ok = chi_tot >= 0.0
-    if ok is not True:
-        _require(ok, ParameterError, "total noise must be >= 0, got {}", chi_tot)
     ratio = (v_a + 1.0 + chi_tot) / (1.0 + chi_tot)
     return math.log2(ratio) if type(ratio) is float else np.log2(ratio)
 
@@ -146,10 +158,12 @@ def holevo_bound(
 
     Args:
         v_a: modulation variance, > 0.
-        t: channel transmittance in (0, 1].
+        t: channel transmittance in (0, 1], as ``ChannelModel`` makes it.
         chi_line: channel-added noise referred to the channel input.
         chi_het: receiver-added noise referred to the receiver input
             (trusted, so it enters only through the measured state).
+            Both are >= 0 from ``total_noise``, and finite when
+            ``chi_line + chi_het / t`` is, as ``secure_key_rate`` checks.
 
     Any argument may be an array instead of a float; the results then are
     arrays of the broadcast shape.
@@ -160,22 +174,14 @@ def holevo_bound(
         fifth is identically 1, so its term ``g(0) = 0`` is left out.
 
     Raises:
+        ParameterError: if ``v_a`` is not > 0.
         PhysicalityError: if a discriminant overflows, or it or an
             eigenvalue violates physicality beyond tolerance; for arrays,
             with the values at the first failing element.
     """
-    ok = (v_a > 0.0) & (v_a < math.inf)
+    ok = v_a > 0.0  # ProtocolParams admits v_a = 0 for simulation
     if ok is not True:
         _require(ok, ParameterError, "modulation variance must be > 0, got {}", v_a)
-    ok = (t > 0.0) & (t <= 1.0)
-    if ok is not True:
-        _require(ok, ParameterError, "transmittance must be in (0, 1], got {}", t)
-    ok = (chi_line >= 0.0) & (chi_line < math.inf)
-    if ok is not True:
-        _require(ok, ParameterError, "channel noise must be >= 0, got {}", chi_line)
-    ok = (chi_het >= 0.0) & (chi_het < math.inf)
-    if ok is not True:
-        _require(ok, ParameterError, "receiver noise must be >= 0, got {}", chi_het)
 
     v = v_a + 1.0
     chi_tot = chi_line + chi_het / t
@@ -245,27 +251,8 @@ def secure_key_rate(
             for v_a in params.v_a.tolist():
                 secure_key_rate(replace(params, v_a=v_a), det_a, det_b, ch)
         raise
-    rate_raw = params.f * i_ab - chi_be
     # Positional: keywords cost a frozen dataclass ~0.5 us per call here.
-    # (x + |x|) / 2 is max(x, 0) for floats and arrays alike, exactly.
-    return KeyRateReport(i_ab, lambdas, chi_be, rate_raw, (rate_raw + abs(rate_raw)) / 2.0)
-
-
-@dataclass(frozen=True)
-class ModulationOptimum:
-    """Result of the modulation-variance search.
-
-    ``feasible``, read from the report, is False when the raw rate is
-    non-positive everywhere in the search range; ``report.rate`` is then
-    0 at the lower bound.
-    """
-
-    v_a: float
-    report: KeyRateReport
-
-    @property
-    def feasible(self) -> bool:
-        return self.report.rate_raw > 0.0
+    return KeyRateReport(params.v_a, i_ab, lambdas, chi_be, params.f * i_ab - chi_be)
 
 
 def optimize_modulation(
@@ -275,7 +262,7 @@ def optimize_modulation(
     ch: ChannelModel,
     f: float = 0.95,
     eps0: float = 0.01,
-) -> ModulationOptimum:
+) -> KeyRateReport:
     """Maximize the key rate over the modulation variance in
     ``[min(0.01, n0), min(20, n0)]``.
 
@@ -289,7 +276,10 @@ def optimize_modulation(
         n0: source mean photon number (upper limit on the variance).
 
     Returns:
-        ModulationOptimum: the best variance and the report the search made there.
+        KeyRateReport: the report the search made at the best variance, in
+        Python floats.  When no variance in the range is feasible, it is
+        the report at the lower bound, with ``feasible`` False and
+        ``rate`` 0.
     """
     lo, hi = min(0.01, n0), min(20.0, n0)
     # geomspace rejects [0, 0]; n0 = 0 must reach ProtocolParams' check instead.
@@ -299,43 +289,26 @@ def optimize_modulation(
     params = ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0)
     with np.errstate(over="ignore", invalid="ignore"):
         scan = secure_key_rate(params, det_a, det_b, ch)
-    best = int(np.argmax(scan.rate_raw))  # argmax takes the first, i.e. smallest v_a
+    i = int(np.argmax(scan.rate_raw))  # argmax takes the first, i.e. smallest v_a
+    best = scan.at(i)
 
     def evaluate(v_a: float) -> KeyRateReport:
         return secure_key_rate(ProtocolParams(n0=n0, v_a=v_a, f=f, eps0=eps0), det_a, det_b, ch)
 
-    def coarse(i: int) -> KeyRateReport:
-        """The scan's report at grid point ``i``, in Python floats."""
-
-        def at(x):
-            return x[i].item() if isinstance(x, np.ndarray) else x
-
-        return KeyRateReport(
-            at(scan.i_ab), tuple(map(at, scan.lambdas)), at(scan.chi_be), at(scan.rate_raw), at(scan.rate)
-        )
-
-    grid = grid.tolist()  # the refinement computes in Python floats
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    best_v, best_r = grid[best], coarse(best)
-
-    # Golden-section maximization of the raw rate on [a, b].
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    rc, rd = evaluate(c), evaluate(d)
+    # Golden-section maximization of the raw rate on [a, b], in Python floats;
+    # each report carries its point.
+    a, b = grid[max(i - 1, 0)].item(), grid[min(i + 1, len(grid) - 1)].item()
+    rc = evaluate(b - _INV_PHI * (b - a))
+    rd = evaluate(a + _INV_PHI * (b - a))
     while b - a > REL_TOL * b:
         if rc.rate_raw > rd.rate_raw:
-            b, d, rd = d, c, rc
-            c = b - _INV_PHI * (b - a)
-            rc = evaluate(c)
+            b, rd = rd.v_a, rc
+            rc = evaluate(b - _INV_PHI * (b - a))
         else:
-            a, c, rc = c, d, rd
-            d = a + _INV_PHI * (b - a)
-            rd = evaluate(d)
-    for v, r in ((c, rc), (d, rd)):
+            a, rc = rc.v_a, rd
+            rd = evaluate(a + _INV_PHI * (b - a))
+    for r in (rc, rd):
         # Strict improvement required so ties keep the smaller variance.
-        if r.rate_raw > best_r.rate_raw or (r.rate_raw == best_r.rate_raw and v < best_v):
-            best_v, best_r = v, r
-
-    optimum = ModulationOptimum(v_a=best_v, report=best_r)
-    return optimum if optimum.feasible else ModulationOptimum(v_a=lo, report=coarse(0))
+        if r.rate_raw > best.rate_raw or (r.rate_raw == best.rate_raw and r.v_a < best.v_a):
+            best = r
+    return best if best.feasible else scan.at(0)

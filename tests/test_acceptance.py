@@ -24,13 +24,12 @@ from passive_cvqkd import (
     excess_noise_alice,
     g2_estimate,
     heterodyne_measure,
-    holevo_bound,
-    mutual_information,
     run_protocol,
     sample_thermal_quadratures,
     total_noise,
 )
 from passive_cvqkd.cli import DEFAULTS, compute_sweep, main
+from passive_cvqkd.keyrate import holevo_bound, mutual_information
 from passive_cvqkd.simulate import analytic_moments, empirical_mi_stderr
 
 REF_DET = DetectorModel(0.5, 0.1)
@@ -76,9 +75,9 @@ def test_criterion_3_key_rate_curves():
         va_of: dict[tuple[float, float], float] = {}
         raw_of: dict[tuple[float, float], float] = {}
         for length, n0, opt in rows:
-            curves.setdefault(n0, {})[length] = opt.report.rate
+            curves.setdefault(n0, {})[length] = opt.rate
             va_of[(n0, length)] = opt.v_a
-            raw_of[(n0, length)] = opt.report.rate_raw
+            raw_of[(n0, length)] = opt.rate_raw
 
         # (a) positive rate at 10 km for every source brightness
         for n0 in (50.0, 100.0, 500.0):

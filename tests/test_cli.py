@@ -360,6 +360,25 @@ class TestSimulate:
         expected.update(I_AB_empirical="nan", I_AB_stderr="nan", I_AB_z="nan", I_AB_verdict="SKIP")
         assert list(report_of(skipped).items()) == list(expected.items())
 
+    def test_no_modulation_passes_its_exact_information_verdict(self, tmp_path):
+        """At v_a = 0 the estimate, its closed form and its standard error
+        are all exactly 0: an exact agreement, z = 0."""
+        out = tmp_path / "report.txt"
+        argv = ["simulate", "--n0", "340", "--va", "0", "--length", "10", "--count", "20000"]
+        assert main(argv + ["--partitions", "3", "--workers", "2", "--out", str(out)]) == EXIT_OK
+        report = report_of(out)
+        assert [report[f"I_AB_{k}"] for k in ("analytic", "empirical", "stderr", "z", "verdict")] == [
+            "0", "0", "0", "0", "PASS",
+        ]
+
+    def test_zero_stderr_disagreement_fails(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.txt"
+        monkeypatch.setattr("passive_cvqkd.cli.empirical_mutual_information", lambda summary: 1e-3)
+        argv = ["simulate", "--n0", "340", "--va", "0", "--length", "10", "--count", "20000", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        report = report_of(out)
+        assert (report["I_AB_stderr"], report["I_AB_z"], report["I_AB_verdict"]) == ("0", "inf", "FAIL")
+
     def test_multiple_n0_is_usage_error(self):
         assert main(["simulate", "--n0", "50,100", "--count", "10"]) == EXIT_CONFIG
 
@@ -449,7 +468,8 @@ class TestAnalyze:
     def test_column_selection(self, tmp_path):
         th, va = write_records(tmp_path, seed=94, count=12_000)
         renamed = tmp_path / "renamed.csv"
-        lines = open(th).read().splitlines()
+        with open(th) as fh:
+            lines = fh.read().splitlines()
         lines[0] = "xA,pA"
         renamed.write_text("\n".join(lines) + "\n")
         out = tmp_path / "report.txt"

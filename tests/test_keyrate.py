@@ -14,18 +14,14 @@ from passive_cvqkd import (
     ChannelModel,
     DetectorModel,
     KeyRateReport,
-    ModulationOptimum,
     ParameterError,
     PhysicalityError,
     ProtocolParams,
     TransmittanceFloorWarning,
-    g_function,
-    holevo_bound,
-    mutual_information,
     optimize_modulation,
     secure_key_rate,
 )
-from passive_cvqkd.keyrate import COARSE_POINTS
+from passive_cvqkd.keyrate import COARSE_POINTS, g_function, holevo_bound, mutual_information
 
 REF_DET = DetectorModel(0.5, 0.1)
 ULPS = 4
@@ -33,7 +29,8 @@ ULPS = 4
 
 def assert_reports_agree(got, want, f):
     """Every field of ``got`` is a float within ULPS ulp of ``want``'s,
-    each ulp taken of the magnitudes the field is summed from.
+    each ulp taken of the magnitudes the field is summed from; the
+    variances are equal.
 
     The two chains differ only in their logarithms (numpy's against
     math's, each within an ulp), so ``i_ab`` may move by an ulp of
@@ -41,7 +38,9 @@ def assert_reports_agree(got, want, f):
     terms' magnitudes and the rates by those of that sum plus ``f i_ab``;
     the eigenvalues take no logarithm and must agree exactly.
     """
-    assert [type(x) for x in (got.i_ab, got.chi_be, got.rate_raw, got.rate, *got.lambdas)] == [float] * 9
+    fields = (got.v_a, got.i_ab, got.chi_be, got.rate_raw, got.rate, *got.lambdas)
+    assert [type(x) for x in fields] == [float] * 10
+    assert got.v_a == want.v_a
     assert got.lambdas == want.lambdas
     xs = [max(lam - 1.0, 0.0) / 2.0 for lam in want.lambdas]
     terms = sum((x + 1.0) * math.log2(x + 1.0) + (abs(x * math.log2(x)) if x else 0.0) for x in xs)
@@ -76,10 +75,6 @@ class TestGFunction:
         values = [g_function(x) for x in xs]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_domain(self):
-        with pytest.raises(ParameterError):
-            g_function(-1e-12)
-
 
 class TestMutualInformation:
     def test_no_modulation_no_information(self):
@@ -91,12 +86,6 @@ class TestMutualInformation:
 
     def test_reference_value(self):
         assert mutual_information(1.0, 3.4) == pytest.approx(0.29545588352617129, rel=1e-14)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            mutual_information(-1.0, 3.4)
-        with pytest.raises(ParameterError):
-            mutual_information(1.0, -0.1)
 
 
 class TestHolevoBound:
@@ -157,10 +146,6 @@ class TestHolevoBound:
     def test_validation(self):
         with pytest.raises(ParameterError):
             holevo_bound(0.0, 0.5, 1.0, 3.4)
-        with pytest.raises(ParameterError):
-            holevo_bound(1.0, 0.0, 1.0, 3.4)
-        with pytest.raises(ParameterError):
-            holevo_bound(1.0, 1.0001, 1.0, 3.4)
 
 
 class TestSecureKeyRate:
@@ -198,8 +183,10 @@ class TestSecureKeyRate:
         report = secure_key_rate(params, REF_DET, REF_DET, ChannelModel(0.2, 15.0))
         assert report.i_ab >= 0.0
         assert report.chi_be >= 0.0
+        assert report.v_a == params.v_a
         assert report.rate_raw == params.f * report.i_ab - report.chi_be
         assert report.rate == max(report.rate_raw, 0.0)
+        assert report.feasible == (report.rate_raw > 0.0)
 
     def test_clamped_transmittance_warns_once(self):
         params = ProtocolParams(n0=500.0, v_a=1.0)
@@ -214,7 +201,7 @@ class TestOptimizeModulation:
         opt = optimize_modulation(500.0, REF_DET, REF_DET, ChannelModel(0.2, 20.0))
         _, grid_rate = brute_force_optimum(500, 20, points=10_000)
         assert opt.feasible
-        assert opt.report.rate == pytest.approx(grid_rate, rel=1e-4)
+        assert opt.rate == pytest.approx(grid_rate, rel=1e-4)
 
     def test_respects_bounds_and_source_limit(self):
         opt = optimize_modulation(5.0, REF_DET, REF_DET, ChannelModel(0.2, 10.0))
@@ -223,15 +210,15 @@ class TestOptimizeModulation:
     def test_infeasible_configuration_is_flagged(self):
         opt = optimize_modulation(50.0, REF_DET, REF_DET, ChannelModel(0.2, 50.0), eps0=1.0)
         assert not opt.feasible
-        assert opt.report.rate == 0.0
-        assert opt.report.rate_raw <= 0.0
+        assert opt.rate == 0.0
+        assert opt.rate_raw <= 0.0
 
     def test_optimized_beats_fixed(self):
         for length in (0.0, 10.0, 30.0):
             ch = ChannelModel(0.2, length)
             opt = optimize_modulation(100.0, REF_DET, REF_DET, ch)
             fixed = secure_key_rate(ProtocolParams(n0=100.0, v_a=1.0), REF_DET, REF_DET, ch)
-            assert opt.report.rate >= fixed.rate - 1e-12
+            assert opt.rate >= fixed.rate - 1e-12
 
     def test_source_without_photons_is_rejected(self):
         with pytest.raises(ParameterError, match="photon number"):
@@ -251,14 +238,21 @@ class TestOptimizeModulation:
         ch = ChannelModel(0.2, length)
         opt = optimize_modulation(n0, REF_DET, REF_DET, ch, eps0=eps0)
         assert opt.feasible == feasible
-        assert type(opt.v_a) is float
         want = secure_key_rate(ProtocolParams(n0=n0, v_a=opt.v_a, eps0=eps0), REF_DET, REF_DET, ch)
-        assert_reports_agree(opt.report, want, f=0.95)
+        assert_reports_agree(opt, want, f=0.95)
 
     def test_feasible_is_read_from_the_report(self):
-        report = secure_key_rate(ProtocolParams(n0=50.0, v_a=1.0), REF_DET, REF_DET, ChannelModel(0.2, 10.0))
-        assert [f.name for f in dataclasses.fields(ModulationOptimum)] == ["v_a", "report"]
-        assert ModulationOptimum(v_a=1.0, report=report).feasible == (report.rate_raw > 0.0)
+        """Optimized and fixed-variance results are one type, whose rate and
+        feasibility derive from rate_raw, for floats and arrays alike."""
+        assert type(optimize_modulation(50.0, REF_DET, REF_DET, ChannelModel(0.2, 10.0))) is KeyRateReport
+        assert [f.name for f in dataclasses.fields(KeyRateReport)] == ["v_a", "i_ab", "lambdas", "chi_be", "rate_raw"]
+        params = ProtocolParams(n0=50.0, v_a=np.array([1.0, 5.0]))
+        scan = secure_key_rate(params, REF_DET, REF_DET, ChannelModel(0.2, 10.0))
+        assert scan.feasible.tolist() == [True, False]
+        for i in range(2):
+            report = scan.at(i)
+            assert report.feasible is (report.rate_raw > 0.0)
+            assert (report.feasible, report.rate) == (scan.feasible[i], scan.rate[i])
 
 
 def detectors():
@@ -270,15 +264,6 @@ def detectors():
             st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300)),
         ),
     )
-
-
-def report_at(report, i):
-    """The float report at index ``i`` of an array evaluation."""
-
-    def at(x):
-        return x[i].item() if isinstance(x, np.ndarray) else x
-
-    return KeyRateReport(at(report.i_ab), tuple(map(at, report.lambdas)), at(report.chi_be), at(report.rate_raw), at(report.rate))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -323,7 +308,7 @@ def test_array_evaluation_agrees_with_float_evaluations(n0, length, det_a, det_b
     assert array_error == float_error
     if float_error is None:
         for i, want in enumerate(reports):
-            assert_reports_agree(report_at(scan, i), want, f)
+            assert_reports_agree(scan.at(i), want, f)
 
 
 class TestOverflow:

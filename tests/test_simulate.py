@@ -22,12 +22,12 @@ from passive_cvqkd import (
     empirical_mutual_information,
     excess_noise_alice,
     load_quadrature_records,
-    mutual_information,
     run_protocol,
     total_noise,
 )
 from passive_cvqkd import cli
 from passive_cvqkd.cli import EXIT_IO, main
+from passive_cvqkd.keyrate import mutual_information
 from passive_cvqkd.simulate import (
     _CHUNK,
     _chunk,
