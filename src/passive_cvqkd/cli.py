@@ -55,7 +55,7 @@ def _fmt(x: float) -> str:
 def parse_config_file(path: str) -> dict[str, str]:
     """Read a flat key=value config file; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
@@ -201,10 +201,10 @@ def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, KeyRateR
     if not s["n0"] or not s["length"]:
         raise ParameterError("n0 and length axes must be non-empty")
 
+    channels = [ChannelModel(s["gamma"], length) for length in s["length"]]
     rows = []
     for n0 in s["n0"]:
-        for length in s["length"]:
-            ch = ChannelModel(s["gamma"], length)
+        for length, ch in zip(s["length"], channels):
             if s["va"] is None:
                 report = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
             else:
@@ -214,29 +214,31 @@ def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, KeyRateR
     return rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
-    rows = compute_sweep(settings)
-    lines = [SWEEP_HEADER]
-    for length, n0, r in rows:
-        lines.append(
-            ",".join(
-                (_fmt(length), _fmt(n0), _fmt(r.v_a), _fmt(r.i_ab), _fmt(r.chi_be), _fmt(r.rate_raw), _fmt(r.rate))
-            )
-        )
-    _write_lines(lines, settings.get("out"))
-    return EXIT_OK
+def cmd_sweep(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
+    return [SWEEP_HEADER] + [
+        ",".join(map(_fmt, (length, n0, r.v_a, r.i_ab, r.chi_be, r.rate_raw, r.rate)))
+        for length, n0, r in compute_sweep(settings)
+    ]
+
+
+def _z(empirical: float, analytic: float, stderr: float) -> float:
+    """Standard score of an estimate against its closed form; with zero
+    standard error it is 0 on exact agreement, else infinite."""
+    return (empirical - analytic) / stderr if stderr > 0 else (0.0 if empirical == analytic else math.inf)
+
+
+def _verdict(z: float) -> str:
+    return "PASS" if abs(z) <= 5.0 else "FAIL"
 
 
 def _verdict_lines(name: str, analytic: float, empirical: float | None, stderr: float) -> list[str]:
-    """Closed form against estimate; with no estimate the verdict is SKIP.
-    With zero standard error, z is 0 on exact agreement, else infinite."""
+    """Closed form against estimate; with no estimate the verdict is SKIP."""
     if empirical is None:
         empirical = z = math.nan
         verdict = "SKIP"
     else:
-        z = (empirical - analytic) / stderr if stderr > 0 else (0.0 if empirical == analytic else math.inf)
-        verdict = "PASS" if abs(z) <= 5.0 else "FAIL"
+        z = _z(empirical, analytic, stderr)
+        verdict = _verdict(z)
     return [
         f"{name}_analytic={_fmt(analytic)}",
         f"{name}_empirical={_fmt(empirical)}",
@@ -246,8 +248,7 @@ def _verdict_lines(name: str, analytic: float, empirical: float | None, stderr: 
     ]
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+def cmd_simulate(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
     s = _read(settings, _KEYS["simulate"])
     det_a, det_b = _detectors(settings, s)
     n0 = _single(s["n0"], "n0")
@@ -287,20 +288,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines += _verdict_lines("I_AB", mutual_information(va, budget.chi_tot), mi_emp, mi_stderr)
 
     predicted = analytic_moments(params, det_a, det_b, ch)
-    max_z = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            se = summary.moment_stderr[i, j]
-            if se > 0:
-                max_z = max(max_z, abs((summary.moments[i, j] - predicted[i, j]) / se))
-    lines.append(f"moments_max_z={_fmt(max_z)}")
-    lines.append(f"moments_verdict={'PASS' if max_z <= 5.0 else 'FAIL'}")
-    _write_lines(lines, settings.get("out"))
-    return EXIT_OK
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    max_z = max(abs(_z(summary.moments[ij], predicted[ij], summary.moment_stderr[ij])) for ij in pairs)
+    return lines + [f"moments_max_z={_fmt(max_z)}", f"moments_verdict={_verdict(max_z)}"]
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
     s = _read(settings, _KEYS["analyze"])
     det = DetectorModel(s["eta_d"], s["v_el"])
     columns = None
@@ -342,19 +335,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.histogram:
         export_histogram(snu, path=args.histogram)
         lines.append(f"histogram_file={args.histogram}")
-    _write_lines(lines, settings.get("out"))
-    return EXIT_OK
+    return lines
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
+def cmd_optimize(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
     s = _read(settings, _KEYS["optimize"])
     det_a, det_b = _detectors(settings, s)
     n0 = _single(s["n0"], "n0")
     length = _single(s["length"], "length")
     ch = ChannelModel(s["gamma"], length)
     r = optimize_modulation(n0, det_a, det_b, ch, f=s["f"], eps0=s["eps0"])
-    lines = [
+    return [
         "command=optimize",
         f"n0={_fmt(n0)}",
         f"L_km={_fmt(length)}",
@@ -366,8 +357,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         f"R={_fmt(r.rate)}",
         "lambdas=" + ",".join(_fmt(l) for l in r.lambdas),
     ]
-    _write_lines(lines, settings.get("out"))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,10 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: read its settings, then write the report lines
+    ``args.func`` returns to ``out`` or stdout; an error is one line on
+    stderr and its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        settings = _settings_from(args)
+        _write_lines(args.func(args, settings), settings.get("out"))
+        return EXIT_OK
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

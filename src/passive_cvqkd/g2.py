@@ -96,7 +96,8 @@ def load_quadrature_records(
     unless the header has exactly two names), and every row has at least
     the cells up to the rightmost selected one.  Each selected cell must
     be a finite ``float``, and at least 2 rows are needed.  Any malformed
-    row aborts the load, naming its line number.
+    row aborts the load, naming its line number.  A leading UTF-8
+    byte-order mark is ignored.
 
     Plain ASCII files are parsed by numpy's C tokenizer; when it refuses
     a file, or a file has bytes on which the tokenizer and the rules
@@ -183,7 +184,9 @@ def _scan(path: str, columns: tuple[str, str] | None) -> np.ndarray:
     """The line scanner: the definition of the record format."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            lines = fh.read().splitlines()
+            # A leading byte-order mark is not content.  Stripped here, not by
+            # "utf-8-sig", so that a decode error names its byte in the file.
+            lines = fh.read().removeprefix("\ufeff").splitlines()
         except UnicodeDecodeError as exc:
             raise RecordFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

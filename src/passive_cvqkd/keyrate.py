@@ -89,20 +89,15 @@ class KeyRateReport:
 
 def _require(ok, error: type[Exception], message: str, *values) -> None:
     """Raise ``error(message.format(*values))`` unless the comparison ``ok``
-    holds, at every element when it is an array; the message then shows
-    the values at the first element where it fails.
+    holds, at every element when it is an array.  An array's error is not
+    formatted: ``secure_key_rate`` re-runs its variances as floats, which
+    raise the formatted error of the first failing one.
 
     Callers test ``ok is not True`` first, so a float that passes costs one
     identity test.
     """
-    if isinstance(ok, np.ndarray):
-        if ok.all():
-            return
-        i = int(np.argmin(ok))
-        values = [v[i].item() if isinstance(v, np.ndarray) else v for v in values]
-    elif ok:
-        return
-    raise error(message.format(*values))
+    if not np.all(ok):
+        raise error(message if isinstance(ok, np.ndarray) else message.format(*values))
 
 
 def g_function(x: FloatOrArray) -> FloatOrArray:
@@ -176,8 +171,8 @@ def holevo_bound(
     Raises:
         ParameterError: if ``v_a`` is not > 0.
         PhysicalityError: if a discriminant overflows, or it or an
-            eigenvalue violates physicality beyond tolerance; for arrays,
-            with the values at the first failing element.
+            eigenvalue violates physicality beyond tolerance.  For arrays
+            either message is left unformatted (see ``_require``).
     """
     ok = v_a > 0.0  # ProtocolParams admits v_a = 0 for simulation
     if ok is not True:
@@ -232,25 +227,31 @@ def secure_key_rate(
     """Evaluate the asymptotic secure key rate for one configuration; an
     overflow of the noise budget or the Holevo bound is a PhysicalityError.
 
-    With an array of variances ``params.v_a`` the report holds arrays,
-    and the error raised is the one the float evaluation raises at the
-    first failing variance.  Run it under ``np.errstate`` to keep an
-    overflow from warning before it raises.
+    With an array of variances ``params.v_a`` the report holds arrays, an
+    overflow prints no numpy warning, and the error raised is the one the
+    float evaluation raises at the first failing variance.
     """
-    try:
-        budget = total_noise(params, det_a, det_b, ch)
-        ok = abs(budget.chi_tot) < math.inf
-        if ok is not True:
-            _require(ok, PhysicalityError, "noise budget overflows: total noise is {}", budget.chi_tot)
-        i_ab = mutual_information(params.v_a, budget.chi_tot)
-        chi_be, lambdas = holevo_bound(params.v_a, ch.t, budget.chi_line, budget.chi_het)
-    except PhysicalityError:
-        if isinstance(params.v_a, np.ndarray):
-            # Each check above ran over every variance before the next one;
-            # the float evaluations, in order, raise the first failing one's error.
-            for v_a in params.v_a.tolist():
-                secure_key_rate(replace(params, v_a=v_a), det_a, det_b, ch)
-        raise
+    if isinstance(params.v_a, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return _key_rate(params, det_a, det_b, ch)
+            except (ParameterError, PhysicalityError):
+                # Each check of the chain runs over every variance before the next
+                # one; the float evaluations, in order, raise the first failing one's error.
+                for v_a in params.v_a.tolist():
+                    _key_rate(replace(params, v_a=v_a), det_a, det_b, ch)
+                raise
+    return _key_rate(params, det_a, det_b, ch)
+
+
+def _key_rate(params: ProtocolParams, det_a: DetectorModel, det_b: DetectorModel, ch: ChannelModel) -> KeyRateReport:
+    """The key-rate chain of ``secure_key_rate``, for floats and arrays alike."""
+    budget = total_noise(params, det_a, det_b, ch)
+    ok = abs(budget.chi_tot) < math.inf
+    if ok is not True:
+        _require(ok, PhysicalityError, "noise budget overflows: total noise is {}", budget.chi_tot)
+    i_ab = mutual_information(params.v_a, budget.chi_tot)
+    chi_be, lambdas = holevo_bound(params.v_a, ch.t, budget.chi_line, budget.chi_het)
     # Positional: keywords cost a frozen dataclass ~0.5 us per call here.
     return KeyRateReport(params.v_a, i_ab, lambdas, chi_be, params.f * i_ab - chi_be)
 
@@ -284,11 +285,8 @@ def optimize_modulation(
     lo, hi = min(0.01, n0), min(20.0, n0)
     # geomspace rejects [0, 0]; n0 = 0 must reach ProtocolParams' check instead.
     grid = np.array([lo]) if lo == hi else np.geomspace(lo, hi, COARSE_POINTS)
-    # The one validation of n0, f, eps0 and the grid; an overflow in the
-    # array evaluation is its PhysicalityError, not a numpy warning.
-    params = ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scan = secure_key_rate(params, det_a, det_b, ch)
+    # The one validation of n0, f, eps0 and the grid.
+    scan = secure_key_rate(ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0), det_a, det_b, ch)
     i = int(np.argmax(scan.rate_raw))  # argmax takes the first, i.e. smallest v_a
     best = scan.at(i)
 

@@ -38,6 +38,7 @@ from passive_cvqkd.cli import (
     parse_axis,
     parse_config_file,
 )
+from passive_cvqkd.simulate import analytic_moments
 
 
 def report_of(path):
@@ -232,6 +233,16 @@ class TestParsing:
         assert main(["optimize", "--config", str(cfg), "--n0", "100", "--length", "5"]) == EXIT_CONFIG
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfgamma=0.25\nn0=100\n")
+        assert parse_config_file(str(cfg)) == {"gamma": "0.25", "n0": "100"}
+        configured, flagged = tmp_path / "configured.txt", tmp_path / "flagged.txt"
+        argv = ["optimize", "--length", "20", "--out"]
+        assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
+        assert main(argv + [str(flagged), "--gamma", "0.25", "--n0", "100"]) == EXIT_OK
+        assert configured.read_bytes() == flagged.read_bytes()
+
     def test_config_rejects_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gama=0.2\n")
@@ -298,6 +309,18 @@ class TestSweep:
 
     def test_empty_axis_is_usage_error(self):
         assert main(["sweep", "--length", " "]) == EXIT_CONFIG
+
+    def test_one_channel_per_length(self, monkeypatch):
+        built = []
+
+        def channel(gamma, length):
+            built.append(length)
+            return ChannelModel(gamma, length)
+
+        monkeypatch.setattr("passive_cvqkd.cli.ChannelModel", channel)
+        rows = compute_sweep({**DEFAULTS, "va": "1"})
+        assert len(rows) == 303
+        assert built == [float(length) for length in range(101)]
 
     def test_default_sweep_allocates_no_grid_sized_array(self):
         """Peak traced allocation of the default sweep, its 303 results
@@ -378,6 +401,24 @@ class TestSimulate:
         assert main(argv) == EXIT_OK
         report = report_of(out)
         assert (report["I_AB_stderr"], report["I_AB_z"], report["I_AB_verdict"]) == ("0", "inf", "FAIL")
+
+    def test_zero_stderr_moment_disagreement_fails(self, tmp_path, monkeypatch):
+        """At v_a = 0 Alice's moments and their standard errors are exactly 0;
+        a closed form that is not 0 there is an infinite z, as for I_AB."""
+
+        def shifted(*args):
+            predicted = analytic_moments(*args)
+            predicted[0, 0] = 1e-3
+            return predicted
+
+        plain, shifted_out = tmp_path / "plain.txt", tmp_path / "shifted.txt"
+        argv = ["simulate", "--n0", "340", "--va", "0", "--length", "10", "--count", "20000", "--out"]
+        assert main(argv + [str(plain)]) == EXIT_OK
+        monkeypatch.setattr("passive_cvqkd.cli.analytic_moments", shifted)
+        assert main(argv + [str(shifted_out)]) == EXIT_OK
+        report = report_of(shifted_out)
+        assert report_of(plain)["moments_verdict"] == "PASS"
+        assert (report["moments_max_z"], report["moments_verdict"]) == ("inf", "FAIL")
 
     def test_multiple_n0_is_usage_error(self):
         assert main(["simulate", "--n0", "50,100", "--count", "10"]) == EXIT_CONFIG
@@ -530,6 +571,13 @@ def _constant_vacuum(tmp_path):
     return ["analyze", th, str(vacuum)]
 
 
+def _three_columns(tmp_path):
+    _, va = write_records(tmp_path, count=2_000, seed=96)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("x,p,q\n" + "1.0,2.0,3.0\n" * 10)
+    return ["analyze", str(wide), va]
+
+
 def _analyze(*flags):
     return lambda tmp_path: ["analyze", *write_records(tmp_path, count=2_000, seed=96), *flags]
 
@@ -557,6 +605,9 @@ def _at_100_photons_10_km(*argv):
             id="out-is-a-directory",
         ),
         pytest.param(_constant_vacuum, EXIT_DATA, "vacuum record has zero variance", id="constant-vacuum"),
+        pytest.param(
+            _three_columns, EXIT_DATA, "has 3 columns; pass columns=(x_name, p_name)", id="three-columns-unselected"
+        ),
         # Overflow of the key-rate chain, at a fixed variance and in the search.
         *(
             pytest.param(_at_100_photons_10_km(*argv), EXIT_NUMERIC, message, id="-".join(argv).replace("--", ""))

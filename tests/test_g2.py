@@ -111,6 +111,57 @@ class TestLoader:
             load_quadrature_records(str(path))
         assert err.value.lines == [2]
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        rows = "".join(f"{i}.25,{-i}.5\n" for i in range(50))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        got = load_quadrature_records(str(marked)).samples
+        assert got.shape == (50, 2)
+        assert got.tobytes() == load_quadrature_records(str(plain)).samples.tobytes()
+
+    def test_byte_order_mark_before_a_header_resolves_columns(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes("\ufeffx,p\n1.0,2.0\n3.0,4.0\n".encode())
+        record = load_quadrature_records(str(path), columns=("x", "p"))
+        assert np.array_equal(record.samples, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_decode_error_names_its_byte_in_a_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,p\n1,\xff2\n")
+        with pytest.raises(RecordFormatError, match=r"not UTF-8 text \(byte 9\)"):
+            load_quadrature_records(str(path))
+
+
+class TestRecord:
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (np.zeros((4, 3)), ParameterError, r"samples must have shape \(n, 2\), got \(4, 3\)"),
+            (np.zeros(4), ParameterError, r"samples must have shape \(n, 2\), got \(4,\)"),
+            (np.zeros((1, 2)), RecordFormatError, "need at least 2 samples, got 1"),
+            ([[0.0, 1.0], [math.nan, 2.0]], ParameterError, "samples contain NaN or Inf values"),
+            ([[0.0, 1.0], [math.inf, 2.0]], ParameterError, "samples contain NaN or Inf values"),
+        ],
+        ids=["three-columns", "one-dimensional", "one-row", "nan", "inf"],
+    )
+    def test_bad_samples_are_rejected(self, samples, error, message):
+        with pytest.raises(error, match=message):
+            QuadratureRecord(samples)
+
+    def test_unknown_unit_flag_is_rejected(self):
+        with pytest.raises(ParameterError, match="unit_flag must be 'raw' or 'snu', got 'volts'"):
+            QuadratureRecord(np.zeros((2, 2)), "volts")
+
+    def test_record_in_snu_is_not_rescaled_again(self):
+        with pytest.raises(UnitError, match="record is already in shot-noise units"):
+            QuadratureRecord(np.ones((2, 2)), UNIT_SNU).in_snu(2.0)
+
+    @pytest.mark.parametrize("shot_variance", [0.0, -1.0, math.inf, math.nan])
+    def test_shot_variance_must_be_positive_and_finite(self, shot_variance):
+        with pytest.raises(ParameterError, match="shot_variance must be > 0"):
+            QuadratureRecord(np.ones((2, 2))).in_snu(shot_variance)
+
 
 # Line breaks of str.splitlines() beyond \n and \r, and whitespace that
 # float() and numpy's tokenizer strip differently.
@@ -159,6 +210,7 @@ def _float_or_none(text):
 
 def reference_load(text, columns):
     """The documented record format: the samples, or the bad line numbers."""
+    text = text.removeprefix("\ufeff")
     lines = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
     first = [c.strip() for c in lines[0][1].split(",")] if lines else []
     header = first if any(_float_or_none(c) is None for c in first) else None
@@ -201,6 +253,8 @@ def reference_load(text, columns):
 @example(("1.5\x1f,2\n3,4\n", None))
 @example(("c0,c1,c2\n1,2\x1c,3\n4,5,6\n", ("c0", "c1")))
 @example(("c0,c1,c2\n1,2\u2028,3\n4,5,6\n", ("c0", "c1")))
+@example(("\ufeff1,2\n3,4\n", None))
+@example(("\ufeffc0,c1\n1,2\n3,4\n", ("c1", "c0")))
 def test_loader_agrees_with_the_documented_format(case):
     text, columns = case
     expected = reference_load(text, columns)
@@ -308,6 +362,20 @@ class TestG2:
         samples = np.full((20_000, 2), math.sqrt(0.5))
         with pytest.raises(DegenerateDataError):
             g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=3)
+
+    # Z is 0 for the first sample and 2 for the others: the record's mean
+    # of Z is 1.5, but a resample that draws the first one twice has mean 1.
+    TWO_LEVEL_Z = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
+
+    def test_degenerate_resamples_are_skipped(self):
+        result = g2_estimate(QuadratureRecord(self.TWO_LEVEL_Z, UNIT_SNU), n_boot=200, min_samples=4, rng=0)
+        assert result.mean_z == 1.5
+        assert 2 <= result.resamples < 200
+        assert math.isfinite(result.stderr)
+
+    def test_too_few_usable_resamples(self):
+        with pytest.raises(DegenerateDataError, match="bootstrap produced no usable resamples"):
+            g2_estimate(QuadratureRecord(self.TWO_LEVEL_Z, UNIT_SNU), n_boot=2, min_samples=4, rng=0)
 
     def test_sample_floor(self):
         samples = RngStream(77).generator().standard_normal((5_000, 2))

@@ -293,8 +293,7 @@ def test_array_evaluation_agrees_with_float_evaluations(n0, length, det_a, det_b
 
     array_error = float_error = None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scan = secure_key_rate(ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0), det_a, det_b, ch)
+        scan = secure_key_rate(ProtocolParams(n0=n0, v_a=grid, f=f, eps0=eps0), det_a, det_b, ch)
     except PhysicalityError as exc:
         array_error = str(exc)
     reports = []
@@ -326,6 +325,24 @@ class TestOverflow:
             secure_key_rate(params, det, det, ChannelModel(0.2, 10.0))
         with pytest.raises(PhysicalityError, match="eigenvalue pair overflows"):
             optimize_modulation(100.0, det, det, ChannelModel(0.2, 10.0), eps0=eps0)
+
+    def test_array_overflow_raises_the_float_error_without_warning(self):
+        ch = ChannelModel(0.2, 10.0)
+        with pytest.raises(PhysicalityError) as float_error:
+            secure_key_rate(ProtocolParams(100.0, 1.0, eps0=1e200), REF_DET, REF_DET, ch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicalityError) as array_error:
+                secure_key_rate(ProtocolParams(100.0, np.array([1.0, 2.0]), eps0=1e200), REF_DET, REF_DET, ch)
+        assert str(array_error.value) == str(float_error.value)
+        assert "eigenvalue pair overflows" in str(array_error.value)
+
+    def test_array_with_a_zero_variance_raises_the_float_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as exc:
+                secure_key_rate(ProtocolParams(100.0, np.array([0.0, 1.0])), REF_DET, REF_DET, ChannelModel(0.2, 10.0))
+        assert str(exc.value) == "modulation variance must be > 0, got 0.0"
 
     def test_noise_budget_overflow(self):
         det = DetectorModel(0.5, 1e308)

@@ -12,11 +12,13 @@ import pytest
 
 from passive_cvqkd import (
     ChannelModel,
+    DegenerateDataError,
     DetectorModel,
     ParameterError,
     ProtocolParams,
     RngStream,
     SimConfig,
+    SimSummary,
     TransmittanceFloorWarning,
     beamsplitter,
     empirical_mutual_information,
@@ -199,6 +201,20 @@ class TestMutualInformation:
     def test_zero_modulation_gives_zero_information(self):
         summary = run_protocol(make_config(v_a=0.0, seed=15))
         assert empirical_mutual_information(summary) == 0.0
+
+    @staticmethod
+    def summary_of(moments):
+        moments = np.asarray(moments, dtype=float)
+        return SimSummary(1000, moments, np.zeros_like(moments), 1.0, 0.0)
+
+    def test_block_without_receiver_variance_is_singular(self):
+        with pytest.raises(DegenerateDataError, match="singular empirical covariance block"):
+            empirical_mutual_information(self.summary_of(np.zeros((4, 4))))
+
+    def test_perfect_correlation_is_degenerate(self):
+        moments = np.tile(np.eye(2), (2, 2))  # x_B = x_A and p_B = p_A
+        with pytest.raises(DegenerateDataError, match="empirical correlation 1.000000 is not below 1"):
+            empirical_mutual_information(self.summary_of(moments))
 
     def test_lossless_ideal_link(self):
         ideal = DetectorModel(1.0, 0.0)
