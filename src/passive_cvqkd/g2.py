@@ -354,7 +354,7 @@ def g2_estimate(
             continue
         boots.append(ratio(m1, float(np.square(zb).mean())))
     if len(boots) < 2:
-        raise DegenerateDataError("bootstrap produced no usable resamples")
+        raise DegenerateDataError(f"only {len(boots)} of {n_boot} bootstrap resamples are usable; at least 2 are needed")
     stderr = float(np.std(boots, ddof=1))
     return G2Result(
         g2=ratio(mean_z, mean_z2),

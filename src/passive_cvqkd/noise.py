@@ -110,15 +110,14 @@ class ChannelModel:
 class NoiseBudget:
     """Derived noise quantities, all in SNU.
 
-    ``eps_a``: preparation excess noise; ``eps_e``: total untrusted excess
-    noise; ``chi_het``: receiver-added noise referred to the receiver
-    input; ``chi_line``: channel-added noise referred to the channel
-    input; ``chi_tot = chi_line + chi_het / t`` with ``t`` the channel's
+    ``eps_a``: preparation excess noise; ``chi_het``: receiver-added noise
+    referred to the receiver input; ``chi_line``: channel-added noise
+    referred to the channel input, the preparation noise included;
+    ``chi_tot = chi_line + chi_het / t`` with ``t`` the channel's
     transmittance.
     """
 
     eps_a: float
-    eps_e: float
     chi_het: float
     chi_line: float
     chi_tot: float
@@ -155,8 +154,7 @@ def total_noise(
     variances ``params.v_a``, every field but ``chi_het`` is an array.
     """
     eps_a = excess_noise_alice(params, det_a)
-    eps_e = eps_a + params.eps0
-    chi_line = 1.0 / ch.t - 1.0 + eps_e
+    chi_line = 1.0 / ch.t - 1.0 + (eps_a + params.eps0)
     chi_het = heterodyne_noise(det_b)
     chi_tot = chi_line + chi_het / ch.t
-    return NoiseBudget(eps_a, eps_e, chi_het, chi_line, chi_tot)  # keywords would cost ~0.5 us
+    return NoiseBudget(eps_a, chi_het, chi_line, chi_tot)  # keywords would cost ~0.5 us

@@ -76,7 +76,10 @@ class SimSummary:
     about zero as a symmetric 4x4 matrix in SNU, with per-entry standard
     errors in ``moment_stderr``.  ``delta_hat`` is the mean squared error
     of Alice's estimate against the tracked outgoing quadrature (both
-    quadratures pooled), with standard error ``delta_stderr``.
+    quadratures pooled), with standard error ``delta_stderr``.  All of
+    them come from one second-moment matrix of the rows
+    ``(x_A, p_A, x_B, p_B, d_x, d_p)``, and both standard errors follow
+    the same zero-mean Gaussian rule.
     """
 
     count: int
@@ -87,17 +90,17 @@ class SimSummary:
 
 
 def _chunk_buffers(m: int) -> list[np.ndarray]:
-    """Arrays for chunks of up to ``m`` rounds: the ``(m, 4)`` block, the
-    outgoing quadratures and three scratch arrays, all ``(m, 2)``."""
-    return [np.empty((m, 4))] + [np.empty((m, 2)) for _ in range(4)]
+    """Arrays for chunks of up to ``m`` rounds: the ``(m, 6)`` block and
+    four ``(m, 2)`` scratch arrays."""
+    return [np.empty((m, 6))] + [np.empty((m, 2)) for _ in range(4)]
 
 
 def _chunk(cfg: SimConfig, g: np.random.Generator, block, out, src, mod2, tmp):
-    """Draw ``len(block)`` rounds of ``cfg`` in place.
+    """Draw ``len(block)`` rounds of ``cfg`` in place and return ``block``.
 
-    Returns ``block`` filled with the ``(x_A, p_A, x_B, p_B)`` rows, Alice's
-    estimate (a contiguous copy of its first two columns, in ``mod2``) and
-    ``out``, the outgoing quadratures; ``src`` and ``tmp`` are scratch.
+    Each row is ``(x_A, p_A, x_B, p_B, d_x, d_p)``: Alice's estimate, Bob's
+    outcome and ``d = est - x_out``, the error of the estimate against the
+    outgoing quadratures.  ``out``, ``src``, ``mod2`` and ``tmp`` are scratch.
     """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
     _thermal(params.n0, g, src)
@@ -116,16 +119,17 @@ def _chunk(cfg: SimConfig, g: np.random.Generator, block, out, src, mod2, tmp):
     received += out
     _split(received, g.standard_normal(out=tmp), cfg.channel.t, out=received, tmp=tmp)
     _heterodyne(received, det_b, g, out=received, tmp=tmp)
-    # As complex128 each (x, p) pair is one element, so each half of the
+    # As complex128 each (x, p) pair is one element, so each third of the
     # block is filled in one strided pass, not in one call per pair.
     pairs = block.view(np.complex128)
     pairs[:, 0] = est.view(np.complex128)[:, 0]
     pairs[:, 1] = received.view(np.complex128)[:, 0]
+    np.subtract(pairs[:, 0], out.view(np.complex128)[:, 0], out=pairs[:, 2])
     # Inputs are validated, so only an overflow (a huge n0) gets here; a
-    # non-finite value at any stage reaches these arrays through the chain.
-    if not (np.isfinite(block).all() and np.isfinite(out).all()):
+    # non-finite value at any stage reaches the block through the chain.
+    if not np.isfinite(block).all():
         raise ParameterError("simulated quadratures contain NaN or Inf values")
-    return block, est, out
+    return block
 
 
 def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
@@ -137,32 +141,26 @@ def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
 
 
 def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, part_path: str | None):
-    """Run one partition; returns its summed sufficient statistics
-    ``(sum of v4.T @ v4, sum of d^2, sum of d^4)``, ``d`` being the error
-    of Alice's estimate.  Plain summation suffices: a partition of 1e6
-    rounds adds only 8 chunk products.
+    """Run one partition; returns the 6x6 sum of ``v.T @ v`` over its
+    chunks, ``v`` being a chunk's block of rows.  Plain summation
+    suffices: a partition of 1e6 rounds adds only 8 chunk products.
 
     With ``part_path`` the partition's rounds are also written there as
     dump rows numbered from ``first_row``, one chunk at a time.
     """
     g = RngStream(cfg.master_seed, index).generator()
-    moments = np.zeros((4, 4))
-    d2_sum = d4_sum = 0.0
+    gram = np.zeros((6, 6))
     # One set of chunk arrays serves every chunk of the partition.
     bufs = _chunk_buffers(min(_CHUNK, n_rounds))
     dump = open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext()
     # A non-finite value is reported by _chunk's guard, not as a warning.
     with dump as fh, np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_rounds, _CHUNK):
-            m = min(_CHUNK, n_rounds - done)
-            v4, est, out = _chunk(cfg, g, *(b[:m] for b in bufs))
-            moments += v4.T @ v4
-            d2 = np.square(np.subtract(est, out, out=out), out=out)
-            d2_sum += d2.sum()
-            d4_sum += np.square(d2, out=d2).sum()
+            v = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
+            gram += v.T @ v
             if fh is not None:
-                _write_rows(fh, v4, first_row + done)
-    return moments, d2_sum, d4_sum
+                _write_rows(fh, v[:, :4], first_row + done)
+    return gram
 
 
 def _usable_cpus() -> int:
@@ -176,7 +174,7 @@ def _usable_cpus() -> int:
 def run_protocol(
     cfg: SimConfig,
     dump_path: str | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SimSummary:
     """Simulate ``cfg.count`` protocol rounds and summarize them.
 
@@ -192,13 +190,13 @@ def run_protocol(
             run fails.  Memory stays O(chunk), not O(count), and the
             bytes do not depend on ``workers``.
         workers: process count for parallel partitions, at least 1;
-            None or 1 runs sequentially.  The pool is no larger than the
+            1 runs sequentially.  The pool is no larger than the
             number of partitions run or of CPUs this process may use.
 
     Returns:
         SimSummary with the moments and the estimate-error statistics.
     """
-    if workers is not None and workers < 1:
+    if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     base, rem = divmod(cfg.count, cfg.partitions)
     # Partitions beyond cfg.count would get no rounds; they are not run.
@@ -215,7 +213,7 @@ def run_protocol(
         mapper = map
         # The pool forks all its workers at once; more than one per
         # partition or per usable CPU would sit idle.
-        pool_size = min(workers or 1, len(counts), _usable_cpus())
+        pool_size = min(workers, len(counts), _usable_cpus())
         if pool_size > 1:
             # Imported here: the serial run and the other commands never need it.
             from concurrent.futures import ProcessPoolExecutor
@@ -228,25 +226,26 @@ def run_protocol(
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, dump)
 
-    # Merged in partition order, so the sums do not depend on ``workers``.
-    moments, d2_sum, d4_sum = (sum(col) for col in zip(*results))
-
     n = cfg.count
-    # Standard error of a raw second moment of a zero-mean Gaussian:
-    # var(m_ij) = (m_ii m_jj + m_ij^2) / n.  Huge noise settings can
-    # overflow the sums or these products; that is reported below, not warned.
     with np.errstate(over="ignore", invalid="ignore"):
-        second = moments / n
+        # Merged in partition order, so the sum does not depend on ``workers``.
+        second = sum(results) / n
         diag = np.diag(second)
-        stderr = np.sqrt((np.outer(diag, diag) + second**2) / n)
-    # d4_sum bounds d2_sum, and with it delta_hat**2 (Cauchy-Schwarz).
-    if not (np.isfinite(stderr).all() and math.isfinite(d4_sum)):
-        raise ParameterError("simulated second moments overflow")
-
-    n_q = 2.0 * n  # both quadratures pooled
-    delta_hat = float(d2_sum / n_q)
-    var_d2 = max(float(d4_sum / n_q) - delta_hat * delta_hat, 0.0)
-    return SimSummary(n, second, stderr, delta_hat, math.sqrt(var_d2 / n_q))
+        # The mutual-information estimate multiplies second moments pairwise.
+        # Huge noise settings can overflow the sums or these products; that
+        # is reported, not warned.
+        if not np.isfinite(np.outer(diag, diag)).all():
+            raise ParameterError("simulated second moments overflow")
+    # Standard error of a raw second moment of a zero-mean Gaussian
+    # (Isserlis): var(m_ij) = (m_ii m_jj + m_ij^2) / n.  It is taken as a
+    # hypot of square roots, so tiny moments do not underflow to zero error.
+    root = np.sqrt(diag)
+    stderr = np.hypot(np.outer(root, root), second) / math.sqrt(n)
+    # delta_hat pools the two quadratures' error variances; by the same
+    # rule its variance is (m44^2 + m55^2 + 2 m45^2) / (2n).
+    m44, m55, m45 = second[4, 4], second[5, 5], second[4, 5]
+    delta_stderr = math.hypot(m44, m55, m45, m45) / math.sqrt(2.0 * n)
+    return SimSummary(n, second[:4, :4], stderr[:4, :4], float((m44 + m55) / 2.0), delta_stderr)
 
 
 def _block_mi_bits(var_a: float, var_b: float, cov: float) -> float:

@@ -1,11 +1,13 @@
 """Command-line front end: config handling, outputs, exit codes."""
 
+import io
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from passive_cvqkd import (
     ParameterError,
     ProtocolParams,
     RngStream,
+    TransmittanceFloorWarning,
     excess_noise_alice,
     heterodyne_measure,
     sample_thermal_quadratures,
@@ -642,6 +645,52 @@ def test_error_exit_prints_one_error_line(make_argv, code, message, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+# Values at the edges of a numeric setting's domain or outside it: signed
+# zeros, the smallest subnormal, values near the float limits, non-finite
+# text, integers beyond any float, and text that is empty, blank or not
+# ASCII ("٣" and "１e3" parse as numbers).
+_HOSTILE = st.one_of(
+    st.sampled_from(
+        ["0", "-0", "-0.0", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "inf", "-inf", "nan", "-nan"]
+        + ["9" * 400, "-" + "9" * 400, "", " ", "é", "٣", "１e3", "0x10", "1_0"]
+    ),
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+)
+_SIMULATE_FLOATS = ["n0", "va", "length", "eps0", "v_el", "eta_d", "gamma"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=3000)
+@given(
+    overrides=st.dictionaries(st.sampled_from(_SIMULATE_FLOATS), _HOSTILE, max_size=len(_SIMULATE_FLOATS)),
+    # Bounded on purpose: every example runs, and workers=2 starts a real pool.
+    count=st.integers(0, 20_000),
+    partitions=st.integers(0, 4),
+    workers=st.sampled_from([1, 2]),
+)
+@example(overrides={"n0": "1e308"}, count=1000, partitions=2, workers=1)
+@example(overrides={"v_el": "1e300"}, count=1000, partitions=1, workers=1)
+@example(overrides={"eta_d": "5e-324"}, count=1000, partitions=1, workers=1)
+@example(overrides={"length": "1e308", "eps0": "1e308"}, count=1000, partitions=1, workers=1)
+@example(overrides={"va": "-0", "gamma": "0"}, count=2, partitions=4, workers=2)
+def test_simulate_exits_cleanly_over_its_numeric_domain(overrides, count, partitions, workers):
+    values = {"n0": "340", "va": "1", "length": "10", **overrides}
+    values.update(count=str(count), partitions=str(partitions), workers=str(workers))
+    # --key=value keeps argparse from reading a value like -inf as a flag.
+    argv = ["simulate"] + [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_OK:
+        assert stdout.getvalue().startswith("command=simulate\n") and stderr.getvalue() == ""
+    else:
+        err = stderr.getvalue()
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert [w.category for w in caught if w.category is not TransmittanceFloorWarning] == []
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

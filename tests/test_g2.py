@@ -374,7 +374,8 @@ class TestG2:
         assert math.isfinite(result.stderr)
 
     def test_too_few_usable_resamples(self):
-        with pytest.raises(DegenerateDataError, match="bootstrap produced no usable resamples"):
+        message = "^only 1 of 2 bootstrap resamples are usable; at least 2 are needed$"
+        with pytest.raises(DegenerateDataError, match=message):
             g2_estimate(QuadratureRecord(self.TWO_LEVEL_Z, UNIT_SNU), n_boot=2, min_samples=4, rng=0)
 
     def test_sample_floor(self):

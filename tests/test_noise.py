@@ -160,7 +160,6 @@ class TestTotalNoise:
         params = ProtocolParams(n0=340.0, v_a=1.0, eps0=0.01)
         budget = total_noise(params, REF_DET, REF_DET, ChannelModel(0.2, 50.0))
         assert budget.eps_a == pytest.approx(0.01, rel=1e-12)
-        assert budget.eps_e == pytest.approx(0.02, rel=1e-12)
         assert budget.chi_line == pytest.approx(9.02, rel=1e-12)
         assert budget.chi_tot == pytest.approx(43.02, rel=1e-12)
 

@@ -34,6 +34,7 @@ from passive_cvqkd.simulate import (
     _CHUNK,
     _chunk,
     _chunk_buffers,
+    _partition_sums,
     _usable_cpus,
     analytic_moments,
     empirical_mi_stderr,
@@ -109,11 +110,10 @@ class TestChunk:
         bufs = _chunk_buffers(_CHUNK)
         # A full chunk, then a shorter tail that reuses the same arrays.
         for m in (_CHUNK, 1000):
-            block, est, out = _chunk(cfg, g, *(b[:m] for b in bufs))
+            block = _chunk(cfg, g, *(b[:m] for b in bufs))
             ref_block, ref_out = reference_chunk(cfg, m, g_ref)
-            assert np.array_equal(block, ref_block)
-            assert np.array_equal(est, ref_block[:, :2])
-            assert np.array_equal(out, ref_out)
+            assert np.array_equal(block[:, :4], ref_block)
+            assert np.array_equal(block[:, 4:], ref_block[:, :2] - ref_out)
 
     @pytest.mark.parametrize("v_a", [0.0, 1.0])
     def test_overflow_is_a_parameter_error(self, v_a):
@@ -144,6 +144,18 @@ class TestEstimateError:
         summary = run_protocol(cfg)
         assert abs(summary.delta_hat - 1.0) < 5.0 * summary.delta_stderr
 
+    def test_delta_follows_the_gaussian_rule_on_the_chunk_rows(self):
+        # One partition in one chunk: the summary must equal the stated
+        # formulas, evaluated with exactly rounded sums of the d columns.
+        cfg = make_config(count=5000, partitions=1, seed=9)
+        rows = _chunk(cfg, RngStream(cfg.master_seed, 0).generator(), *_chunk_buffers(cfg.count))
+        n = cfg.count
+        m44, m55, m45 = (math.fsum(rows[:, i] * rows[:, j]) / n for i, j in ((4, 4), (5, 5), (4, 5)))
+        summary = run_protocol(cfg)
+        assert summary.delta_hat == pytest.approx((m44 + m55) / 2.0, rel=1e-14)
+        stderr = math.sqrt((m44**2 + m55**2 + 2.0 * m45**2) / (2.0 * n))
+        assert summary.delta_stderr == pytest.approx(stderr, rel=1e-14)
+
     def test_stderr_scales_as_inverse_root_count(self):
         small = run_protocol(make_config(count=100_000, seed=8))
         large = run_protocol(make_config(count=200_000, seed=8))
@@ -160,6 +172,8 @@ class TestMomentMatrix:
             (500.0, 5.0, 40.0, DetectorModel(0.5, 0.35), 11),
             (50.0, 0.2, 25.0, REF_DET, 12),
             (800.0, 19.0, 5.0, DetectorModel(0.9, 0.0), 13),
+            # Alice's moments near 1e-301: their squares underflow.
+            (340.0, 1e-300, 10.0, REF_DET, 15),
         ],
     )
     def test_matches_analytic_prediction(self, n0, v_a, length, det_b, seed):
@@ -249,21 +263,26 @@ class TestDeterminism:
 
     def test_plain_summation_matches_exact_sums(self):
         # Several chunks per partition and a merge of two partitions: the
-        # moments must agree with an exactly rounded sum of the same chunk
-        # products far below their statistical error.
+        # 6x6 moment matrix must agree with an exactly rounded sum of the
+        # same chunk products far below its statistical error, and the
+        # summary must be read from it.
         cfg = make_config(count=5 * _CHUNK + 17, partitions=2, seed=28)
-        summary = run_protocol(cfg)
+        counts = (cfg.count - cfg.count // 2, cfg.count // 2)
         products = []
-        for index, n_rounds in enumerate((cfg.count - cfg.count // 2, cfg.count // 2)):
+        for index, n_rounds in enumerate(counts):
             g = RngStream(cfg.master_seed, index).generator()
             bufs = _chunk_buffers(_CHUNK)
             for done in range(0, n_rounds, _CHUNK):
-                v4, _, _ = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
-                products.append(v4.T @ v4)
+                v = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
+                products.append(v.T @ v)
         assert len(products) == 6
-        exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(4)] for i in range(4)]) / cfg.count
+        exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(6)] for i in range(6)]) / cfg.count
+        second = sum(_partition_sums(cfg, k, n_rounds, 0, None) for k, n_rounds in enumerate(counts)) / cfg.count
         diag = np.diag(exact)
-        assert np.all(np.abs(summary.moments - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
+        assert np.all(np.abs(second - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
+        summary = run_protocol(cfg)
+        assert np.array_equal(summary.moments, second[:4, :4])
+        assert summary.delta_hat == (second[4, 4] + second[5, 5]) / 2.0
 
 
 SIM_800_KM = ["simulate", "--n0", "500", "--va", "1", "--length", "800", "--count", "3000", "--partitions", "3"]
@@ -375,7 +394,7 @@ class TestDump:
     def test_header_and_roundtrip_identity(self, tmp_path):
         cfg = make_config(count=500, partitions=1, seed=20)
         g = RngStream(cfg.master_seed, 0).generator()
-        samples, _, _ = _chunk(cfg, g, *_chunk_buffers(cfg.count))
+        samples = _chunk(cfg, g, *_chunk_buffers(cfg.count))
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
         text = path.read_text().splitlines()
@@ -384,7 +403,7 @@ class TestDump:
         alice = load_quadrature_records(str(path), columns=("xA", "pA"))
         bob = load_quadrature_records(str(path), columns=("xB", "pB"))
         assert np.array_equal(alice.samples, samples[:, :2])
-        assert np.array_equal(bob.samples, samples[:, 2:])
+        assert np.array_equal(bob.samples, samples[:, 2:4])
 
     def test_rows_are_numbered_across_partitions(self, tmp_path):
         cfg = make_config(count=1001, partitions=3, seed=23)
