@@ -152,17 +152,20 @@ def heterodyne_measure(
     detector loss is a beam splitter of transmittance ``eta_d`` in front
     of ideal detectors.  Per quadrature the outcome is::
 
-        sqrt(eta_d / 2) * in + sqrt(1 - eta_d / 2) * vacuum + N_el
+        sqrt(eta_d / 2) * in + sqrt(1 - eta_d / 2 + v_el) * z
 
-    with ``N_el`` zero-mean Gaussian of variance ``v_el``, so an input of
-    quadrature variance V is measured with variance
-    ``eta_d * (V - 1) / 2 + 1 + v_el``.  Any upstream splitting belongs
-    to the protocol composition, not to this operation.
+    with ``z`` standard normal.  The vacuum let in by the splitter and the
+    loss, of variance ``1 - eta_d / 2``, and the electronic noise, of
+    variance ``v_el``, are independent zero-mean Gaussians, so their sum
+    has the law of this one draw.  An input of quadrature variance V is
+    measured with variance ``eta_d * (V - 1) / 2 + 1 + v_el``.  Any
+    upstream splitting belongs to the protocol composition, not to this
+    operation.
 
     Args:
         samples: quadrature pairs or batch, shape ``(..., 2)``.
         det: receiver model.
-        rng: stream for the vacuum and electronic noise.
+        rng: stream for the receiver noise.
 
     Returns:
         Measured quadrature pairs, same shape as ``samples``.
@@ -176,8 +179,5 @@ def _heterodyne(samples: np.ndarray, det: DetectorModel, g: np.random.Generator,
     """:func:`heterodyne_measure` without validation.  Given ``out`` and ``tmp``,
     nothing is allocated; ``out`` may be ``samples``, ``tmp`` neither of them."""
     noise = g.standard_normal(samples.shape, out=tmp)
-    out = _split(samples, noise, det.eta_d / 2.0, out=out, tmp=noise)
-    # The electronic-noise draw is always consumed so the stream layout
-    # does not depend on v_el.
-    out += np.multiply(g.standard_normal(samples.shape, out=noise), math.sqrt(det.v_el), out=noise)
-    return out
+    noise *= math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el)
+    return np.add(np.multiply(samples, math.sqrt(det.eta_d / 2.0), out=out), noise, out=out)

@@ -693,6 +693,36 @@ def test_simulate_exits_cleanly_over_its_numeric_domain(overrides, count, partit
     assert [w.category for w in caught if w.category is not TransmittanceFloorWarning] == []
 
 
+_KEY_RATE_FLOATS = ["gamma", "eps0", "v_el", "eta_d", "f", "n0", "length", "va"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=3000)
+@given(
+    command=st.sampled_from(["sweep", "optimize"]),
+    overrides=st.dictionaries(st.sampled_from(_KEY_RATE_FLOATS), _HOSTILE, max_size=len(_KEY_RATE_FLOATS)),
+)
+@example(command="sweep", overrides={"va": "1e308", "n0": "1e308"})
+@example(command="optimize", overrides={"n0": "5e-324", "length": "1e308"})
+@example(command="optimize", overrides={"v_el": "1e308", "eps0": "1e308", "gamma": "0"})
+def test_key_rate_commands_exit_cleanly_over_their_numeric_domain(command, overrides):
+    if command == "optimize":
+        overrides.pop("va", None)  # optimize searches the modulation variance
+    # No hostile value holds ',' or ':', so each axis is one point.
+    values = {"n0": "100", "length": "10", **overrides}
+    argv = [command] + [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        assert stderr.getvalue() == ""
+    else:
+        err = stderr.getvalue()
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert [w.category for w in caught if w.category is not TransmittanceFloorWarning] == []
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # Only a pooled simulate run needs concurrent.futures; the import costs
     # every other command memory and start-up time.

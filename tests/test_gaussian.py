@@ -196,8 +196,8 @@ class TestHeterodyne:
     def test_rounds_like_the_written_formula(self, det):
         src = sample_thermal_quadratures(5.0, 5000, RngStream(53))
         g = RngStream(54).generator()
-        expected = math.sqrt(det.eta_d / 2.0) * src + math.sqrt(1.0 - det.eta_d / 2.0) * g.standard_normal(src.shape)
-        expected += math.sqrt(det.v_el) * g.standard_normal(src.shape)
+        noise = math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el) * g.standard_normal(src.shape)
+        expected = math.sqrt(det.eta_d / 2.0) * src + noise
         assert np.array_equal(heterodyne_measure(src, det, RngStream(54)), expected)
 
     def test_determinism(self):

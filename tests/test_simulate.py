@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from passive_cvqkd import (
     ChannelModel,
@@ -70,8 +72,8 @@ def reference_chunk(cfg, m, g):
     eta_a = params.eta_a
 
     def heterodyne(samples, det):
-        measured, _ = beamsplitter(samples, g.standard_normal((m, 2)), det.eta_d / 2.0)
-        return measured + math.sqrt(det.v_el) * g.standard_normal((m, 2))
+        noise = math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el) * g.standard_normal((m, 2))
+        return math.sqrt(det.eta_d / 2.0) * samples + noise
 
     src = g.normal(0.0, math.sqrt(2.0 * params.n0 + 1.0), size=(m, 2))
     mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
@@ -81,6 +83,24 @@ def reference_chunk(cfg, m, g):
     excess = math.sqrt(params.eps0) * g.standard_normal((m, 2))
     received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), cfg.channel.t)
     return np.concatenate([est, heterodyne(received, det_b)], axis=1), out
+
+
+class UnitFills:
+    """Stand-in generator whose k-th ``standard_normal`` fill is 1 in row k
+    and 0 elsewhere.  The chain is linear and acts on each row alone, so
+    row k of a chunk holds every output's coefficient on draw k."""
+
+    def __init__(self):
+        self.fills = 0
+
+    def standard_normal(self, size=None, out=None):
+        out[...] = 0.0
+        out[self.fills] = 1.0
+        self.fills += 1
+        return out
+
+
+DETECTORS = st.builds(DetectorModel, st.floats(1e-6, 1.0), st.floats(0.0, 10.0))
 
 
 def peak_memory(count, seed, dump_path=None):
@@ -114,6 +134,35 @@ class TestChunk:
             ref_block, ref_out = reference_chunk(cfg, m, g_ref)
             assert np.array_equal(block[:, :4], ref_block)
             assert np.array_equal(block[:, 4:], ref_block[:, :2] - ref_out)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        n0=st.floats(1e-2, 1e6),
+        share=st.floats(0.0, 1.0),
+        det_a=DETECTORS,
+        det_b=DETECTORS,
+        length=st.floats(0.0, 300.0),
+        eps0=st.floats(0.0, 1.0),
+    )
+    @example(n0=340.0, share=0.0, det_a=REF_DET, det_b=REF_DET, length=10.0, eps0=0.01)
+    @example(n0=1e6, share=1.0, det_a=DetectorModel(1.0, 0.0), det_b=DetectorModel(1e-6, 10.0), length=0.0, eps0=0.0)
+    def test_has_the_exact_law_of_the_closed_forms(self, n0, share, det_a, det_b, length, eps0):
+        # With one unit draw per row, C.T @ C over a quadrature's columns is
+        # the chain's exact covariance, free of Monte Carlo noise.  The x-p
+        # cross terms are skipped: the stand-in fills both columns alike.
+        cfg = make_config(n0=n0, v_a=share * n0, length=length, eps0=eps0, det_a=det_a, det_b=det_b)
+        g = UnitFills()
+        block = _chunk(cfg, g, *_chunk_buffers(8))
+        assert g.fills == 8
+        predicted = analytic_moments(cfg.params, det_a, det_b, cfg.channel)
+        delta = excess_noise_alice(cfg.params, det_a) + 1.0
+        for a, b, d in ((0, 2, 4), (1, 3, 5)):
+            cov = block[:, [a, b, d]].T @ block[:, [a, b, d]]
+            assert cov[2, 2] == pytest.approx(delta, rel=1e-12)
+            expected = predicted[np.ix_([a, b], [a, b])]
+            # The absolute term covers the exact zeros at v_a = 0 and the
+            # subnormal moments of a subnormal v_a.
+            assert (np.abs(cov[:2, :2] - expected) <= 1e-12 * np.abs(expected) + 1e-300).all()
 
     @pytest.mark.parametrize("v_a", [0.0, 1.0])
     def test_overflow_is_a_parameter_error(self, v_a):
@@ -155,6 +204,16 @@ class TestEstimateError:
         assert summary.delta_hat == pytest.approx((m44 + m55) / 2.0, rel=1e-14)
         stderr = math.sqrt((m44**2 + m55**2 + 2.0 * m45**2) / (2.0 * n))
         assert summary.delta_stderr == pytest.approx(stderr, rel=1e-14)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 8: d = est - x_out cancels two quadratures of size sqrt(v_a) and loses the error",
+    )
+    def test_delta_matches_closed_form_at_a_huge_modulation(self):
+        cfg = make_config(n0=1e34, v_a=1e34, count=3000, partitions=1)
+        summary = run_protocol(cfg)
+        delta = excess_noise_alice(cfg.params, cfg.det_a) + 1.0
+        assert abs(summary.delta_hat - delta) < 5.0 * summary.delta_stderr
 
     def test_stderr_scales_as_inverse_root_count(self):
         small = run_protocol(make_config(count=100_000, seed=8))
