@@ -66,8 +66,13 @@ class QuadratureRecord:
         return len(self.samples)
 
     def pooled_variance(self) -> float:
-        """Per-quadrature variance about the mean, x and p pooled."""
-        return float(np.mean(np.var(self.samples, axis=0, ddof=1)))
+        """Per-quadrature variance about the mean, x and p pooled; one that
+        overflows is a DegenerateDataError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(np.mean(np.var(self.samples, axis=0, ddof=1)))
+        if not math.isfinite(s):
+            raise DegenerateDataError("record variance overflows")
+        return s
 
     def in_snu(self, shot_variance: float) -> "QuadratureRecord":
         """Rescale a raw record into shot-noise units.
@@ -258,7 +263,8 @@ def calibrate_photon_number(
 
     Raises:
         UnitError: records are not in the same units.
-        DegenerateDataError: thermal variance below the vacuum reference.
+        DegenerateDataError: thermal variance below the vacuum reference,
+            or a variance or the estimate overflows.
     """
     if thermal.unit_flag != vacuum.unit_flag:
         raise UnitError(
@@ -277,10 +283,11 @@ def calibrate_photon_number(
     n_hat = k * (s_th / s_vac - 1.0)
 
     # Delta method on the two independent pooled variances; each has
-    # var(s_hat) = 2 s^2 / dof for Gaussian data.
-    var_s_th = 2.0 * s_th**2 / (2.0 * (len(thermal) - 1))
-    var_s_vac = 2.0 * s_vac**2 / (2.0 * (len(vacuum) - 1))
-    stderr = k * math.sqrt(var_s_th / s_vac**2 + (s_th / s_vac**2) ** 2 * var_s_vac)
+    # var(s_hat) = 2 s^2 / dof = s^2 / (n - 1) for Gaussian data (two
+    # quadratures pooled), so the relative errors add in quadrature.
+    stderr = k * (s_th / s_vac) * math.sqrt(1.0 / (len(thermal) - 1) + 1.0 / (len(vacuum) - 1))
+    if not math.isfinite(stderr):
+        raise DegenerateDataError("photon-number estimate overflows")
     return CalibrationResult(
         n_hat=n_hat,
         stderr=stderr,
@@ -323,7 +330,8 @@ def g2_estimate(
 
     Raises:
         UnitError: the record is not calibrated to SNU.
-        DegenerateDataError: the mean of Z is too close to 1.
+        DegenerateDataError: the mean of Z is too close to 1, or the
+            moments of Z or the resamples overflow.
     """
     if record.unit_flag != UNIT_SNU:
         raise UnitError("g2 requires an SNU-calibrated record; calibrate against vacuum first")
@@ -333,31 +341,36 @@ def g2_estimate(
     if n_boot < 2:
         raise ParameterError(f"n_boot must be >= 2, got {n_boot}")
 
-    z = np.square(record.samples).sum(axis=1)
-
     def ratio(m1: float, m2: float) -> float:
-        return (m2 - 4.0 * m1 + 2.0) / (m1 - 1.0) ** 2
+        return (m2 - 4.0 * m1 + 2.0) / ((m1 - 1.0) * (m1 - 1.0))
 
-    mean_z = float(z.mean())
-    mean_z2 = float(np.square(z).mean())
-    if abs(mean_z - 1.0) < DEGENERATE_MEAN_Z_TOL:
-        raise DegenerateDataError(
-            f"mean of Z is {mean_z:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
-        )
+    # Z^2 of a record near the float limits overflows, in the record or in
+    # a resample that repeats its largest Z; that is reported, not warned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.square(record.samples).sum(axis=1)
+        mean_z = float(z.mean())
+        mean_z2 = float(np.square(z).mean())
+        if abs(mean_z - 1.0) < DEGENERATE_MEAN_Z_TOL:
+            raise DegenerateDataError(
+                f"mean of Z is {mean_z:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
+            )
 
-    g = RngStream(rng).generator()
-    boots = []
-    for _ in range(n_boot):
-        zb = z[g.integers(0, n, n)]
-        m1 = float(zb.mean())
-        if abs(m1 - 1.0) < DEGENERATE_MEAN_Z_TOL:
-            continue
-        boots.append(ratio(m1, float(np.square(zb).mean())))
-    if len(boots) < 2:
-        raise DegenerateDataError(f"only {len(boots)} of {n_boot} bootstrap resamples are usable; at least 2 are needed")
-    stderr = float(np.std(boots, ddof=1))
+        g = RngStream(rng).generator()
+        boots = []
+        for _ in range(n_boot):
+            zb = z[g.integers(0, n, n)]
+            m1 = float(zb.mean())
+            if abs(m1 - 1.0) < DEGENERATE_MEAN_Z_TOL:
+                continue
+            boots.append(ratio(m1, float(np.square(zb).mean())))
+        if len(boots) < 2:
+            raise DegenerateDataError(f"only {len(boots)} of {n_boot} bootstrap resamples are usable; at least 2 are needed")
+        stderr = float(np.std(boots, ddof=1))
+        g2 = ratio(mean_z, mean_z2)
+    if not (math.isfinite(g2) and math.isfinite(stderr)):
+        raise DegenerateDataError("g2 overflows: Z^2 exceeds the float range")
     return G2Result(
-        g2=ratio(mean_z, mean_z2),
+        g2=g2,
         mean_z=mean_z,
         mean_z2=mean_z2,
         stderr=stderr,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -721,6 +722,132 @@ def test_key_rate_commands_exit_cleanly_over_their_numeric_domain(command, overr
         err = stderr.getvalue()
         assert err.startswith("error:") and err.count("\n") == 1
     assert [w.category for w in caught if w.category is not TransmittanceFloorWarning] == []
+
+
+# Record cells: any float, non-finite text, and text that is no number or
+# that only float() reads.
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "x", "nan", "-inf", "1e999", "1_0", "0x10", "٣", "é"]),
+)
+_BOM = b"\xef\xbb\xbf"
+_RARELY = st.sampled_from([False] * 7 + [True])
+_KEYS_ANALYZE = ["v_el", "eta_d", "seed"]
+
+
+def _hostile_bytes(draw, text):
+    """``text`` as UTF-8, maybe behind a byte-order mark, now and then with a 0xff byte in it."""
+    data = (_BOM if draw(st.booleans()) else b"") + text.encode()
+    if draw(_RARELY):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _record_bytes(draw, header, span):
+    """A record file: ``header`` if any, up to 24 rows of numbers in
+    ``[-span, span]`` times a scale from subnormal to near the float limit,
+    now and then one row replaced by a ragged row of hostile cells, and a
+    drawn line break."""
+    width = 2 if header is None else header.count(",") + 1
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e-160, 1e77, 1e150, 1e300]))
+    n = draw(st.integers(0, 24))
+    cells = draw(st.lists(st.floats(-span, span), min_size=n * width, max_size=n * width))
+    lines = [",".join(repr(v * scale) for v in cells[i : i + width]) for i in range(0, len(cells), width)]
+    if lines and draw(_RARELY):
+        lines[draw(st.integers(0, len(lines) - 1))] = ",".join(draw(st.lists(_CELLS, min_size=1, max_size=5)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return _hostile_bytes(draw, newline.join(([header] if header else []) + lines) + newline)
+
+
+@st.composite
+def _records(draw):
+    """A thermal and a vacuum record file with one header, and ``--columns``:
+    mostly a layout that resolves, now and then one that does not.  The
+    vacuum is narrower, so that the thermal variance is mostly the larger."""
+    header, columns = draw(
+        st.sampled_from(
+            [(None, None), (None, None), ("x,p", None), ("1,p", None), ("xA,pA,xB,pB", "xA,pA")]
+            + [("xA,pA,xB,pB", None), ("x", None), ("x,p", "xB"), (None, "xA,pA")]
+        )
+    )
+    return _record_bytes(draw, header, 10.0), _record_bytes(draw, header, 3.0), columns
+
+
+@st.composite
+def _config_bytes(draw):
+    """A config file: ``key=value`` lines with keys repeated at will, their
+    values sane or hostile, now and then a blank, comment or bad line, and a
+    drawn line break."""
+    values = st.sampled_from(["0.5", "0.1", "3"]) | _HOSTILE
+    pair = st.tuples(st.sampled_from(_KEYS_ANALYZE + ["gamma", "count"]), values)
+    other = st.sampled_from(["# note", "", " ", "v_el", "bogus=1"])
+    lines = draw(st.lists(st.one_of(pair.map("=".join), pair.map("=".join), other), max_size=6))
+    return _hostile_bytes(draw, draw(st.sampled_from(["\n", "\r\n"])).join(lines))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=3000)
+@given(
+    records=_records(),
+    vacuum_file=st.sampled_from(["vacuum", "vacuum", "vacuum", "thermal", "missing", "directory"]),
+    # Branches are drawn alike, so a repeated one weighs more.
+    config=st.one_of(st.none(), st.none(), _config_bytes()),
+    overrides=st.one_of(
+        st.just({}), st.just({}), st.dictionaries(st.sampled_from(_KEYS_ANALYZE), _HOSTILE, max_size=2)
+    ),
+    histogram=st.booleans(),
+    # Small on purpose: a drawn record has at most 24 rows, and the
+    # bootstrap draws n_boot resamples of it.
+    min_samples=st.integers(-1, 12),
+    n_boot=st.integers(0, 20),
+)
+@example(  # a plain pair of records, CRLF, with a histogram: exit 0
+    records=(b"x,p\r\n3,1\r\n-2,4\r\n0.5,-3\r\n", b"x,p\r\n1,0\r\n0,-1\r\n-1,0.5\r\n", None), vacuum_file="vacuum",
+    config=None, overrides={}, histogram=True, min_samples=2, n_boot=5,
+)
+@example(  # byte-order marks, a duplicate key and a 0xff byte in the config
+    records=(_BOM + b"xA,pA\n1,2\n3,5\n", b"", "xA,pA"), vacuum_file="thermal",
+    config=_BOM + b"seed=1\r\nseed=\xff2\r\nv_el=0.1\r\n", overrides={}, histogram=False, min_samples=2, n_boot=5,
+)
+@example(  # the squared variance overflowed: OverflowError out of main
+    records=(b"round,xA,pA,xB,pB\n0.0,0.0,2.315841784746324e+77\n0.0,0.0,0.0,0.0,0.0\n", b"", "xA,pA"),
+    vacuum_file="thermal", config=None, overrides={}, histogram=False, min_samples=0, n_boot=2,
+)
+@example(  # the variance overflowed: a RuntimeWarning, then exit 2 for "shot_variance ... inf"
+    records=(b"1e300,1\n-1e300,2\n", b"1,2\n3,4\n", None), vacuum_file="vacuum", config=None, overrides={},
+    histogram=False, min_samples=2, n_boot=5,
+)
+def test_analyze_exits_cleanly_over_its_input_domain(
+    records, vacuum_file, config, overrides, histogram, min_samples, n_boot
+):
+    thermal, vacuum, columns = records
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name + ".csv") for name in ("thermal", "vacuum", "missing", "run", "hist")}
+        paths["directory"] = tmp
+        for name, data in (("thermal", thermal), ("vacuum", vacuum), ("run", config or b"")):
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        argv = ["analyze", paths["thermal"], paths[vacuum_file], f"--min-samples={min_samples}", f"--n-boot={n_boot}"]
+        # --key=value keeps argparse from reading a value like -inf as a flag.
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
+        argv += [f"--config={paths['run']}"] if config is not None else []
+        argv += [f"--columns={columns}"] if columns is not None else []
+        argv += [f"--histogram={paths['hist']}"] if histogram else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        assert stderr.getvalue() == ""
+        report = dict(line.split("=", 1) for line in stdout.getvalue().splitlines())
+        assert report.pop("command") == "analyze"
+        # Every value but a file name is a finite number.
+        assert all(math.isfinite(float(v)) for key, v in report.items() if not key.endswith("_file"))
+    else:
+        err = stderr.getvalue()
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert [w.category for w in caught] == []
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -163,6 +163,29 @@ class TestRecord:
             QuadratureRecord(np.ones((2, 2))).in_snu(shot_variance)
 
 
+def plus_minus(value):
+    """A two-row record of ``±value`` in x and 0 in p."""
+    return QuadratureRecord([[value, 0.0], [-value, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: plus_minus(1e300).pooled_variance(), "record variance overflows"),
+        (
+            lambda: calibrate_photon_number(plus_minus(1e150), plus_minus(1e-150), IV_DET),
+            "photon-number estimate overflows",
+        ),
+        (lambda: g2_estimate(plus_minus(1e100).in_snu(1.0), n_boot=2, min_samples=2), "g2 overflows"),
+    ],
+    ids=["variance", "photon-number", "g2"],
+)
+def test_overflow_is_degenerate_data(call, message):
+    # A numpy RuntimeWarning fails the test, so none may be raised on the way.
+    with pytest.raises(DegenerateDataError, match=message):
+        call()
+
+
 # Line breaks of str.splitlines() beyond \n and \r, and whitespace that
 # float() and numpy's tokenizer strip differently.
 _ODD_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]

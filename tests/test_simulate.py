@@ -103,11 +103,31 @@ class UnitFills:
 DETECTORS = st.builds(DetectorModel, st.floats(1e-6, 1.0), st.floats(0.0, 10.0))
 
 
+def partition_blocks(cfg, index, n_rounds):
+    """Copies of one partition's chunk blocks, drawn from one generator
+    in the order ``_partition_sums`` draws them."""
+    g = RngStream(cfg.master_seed, index).generator()
+    bufs = _chunk_buffers(min(_CHUNK, n_rounds))
+    for done in range(0, n_rounds, _CHUNK):
+        yield _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs)).copy()
+
+
+# Traced peaks of a one-partition run of 4 chunks: 1.84 MB with the dump
+# and 0.49 MB without it (Python 3.11, numpy 2.4).  The bounds sit ~1.5x
+# above them; at 2^17-round chunks the arrays alone would take 14.7 MB.
+DUMP_PEAK_BOUND = 2_750_000
+PEAK_BOUND = 750_000
+
+
 def peak_memory(count, seed, dump_path=None):
-    """Peak traced allocation of a one-partition run of ``count`` rounds."""
+    """Peak traced allocation of a one-partition run of ``count`` rounds.
+    An untraced run first pays the one-time imports of a first run
+    (``numpy.random`` among them, ~0.56 MB)."""
+    cfg = make_config(count=count, partitions=1, seed=seed)
+    run_protocol(cfg, dump_path=dump_path)
     tracemalloc.start()
     try:
-        run_protocol(make_config(count=count, partitions=1, seed=seed), dump_path=dump_path)
+        run_protocol(cfg, dump_path=dump_path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -194,11 +214,11 @@ class TestEstimateError:
         assert abs(summary.delta_hat - 1.0) < 5.0 * summary.delta_stderr
 
     def test_delta_follows_the_gaussian_rule_on_the_chunk_rows(self):
-        # One partition in one chunk: the summary must equal the stated
+        # One partition over its chunks: the summary must equal the stated
         # formulas, evaluated with exactly rounded sums of the d columns.
         cfg = make_config(count=5000, partitions=1, seed=9)
-        rows = _chunk(cfg, RngStream(cfg.master_seed, 0).generator(), *_chunk_buffers(cfg.count))
         n = cfg.count
+        rows = np.concatenate(list(partition_blocks(cfg, 0, n)))
         m44, m55, m45 = (math.fsum(rows[:, i] * rows[:, j]) / n for i, j in ((4, 4), (5, 5), (4, 5)))
         summary = run_protocol(cfg)
         assert summary.delta_hat == pytest.approx((m44 + m55) / 2.0, rel=1e-14)
@@ -321,27 +341,22 @@ class TestDeterminism:
         assert not np.array_equal(a.moments, b.moments)
 
     def test_plain_summation_matches_exact_sums(self):
-        # Several chunks per partition and a merge of two partitions: the
-        # 6x6 moment matrix must agree with an exactly rounded sum of the
-        # same chunk products far below its statistical error, and the
-        # summary must be read from it.
-        cfg = make_config(count=5 * _CHUNK + 17, partitions=2, seed=28)
-        counts = (cfg.count - cfg.count // 2, cfg.count // 2)
-        products = []
-        for index, n_rounds in enumerate(counts):
-            g = RngStream(cfg.master_seed, index).generator()
-            bufs = _chunk_buffers(_CHUNK)
-            for done in range(0, n_rounds, _CHUNK):
-                v = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
-                products.append(v.T @ v)
-        assert len(products) == 6
-        exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(6)] for i in range(6)]) / cfg.count
-        second = sum(_partition_sums(cfg, k, n_rounds, 0, None) for k, n_rounds in enumerate(counts)) / cfg.count
-        diag = np.diag(exact)
-        assert np.all(np.abs(second - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
-        summary = run_protocol(cfg)
-        assert np.array_equal(summary.moments, second[:4, :4])
-        assert summary.delta_hat == (second[4, 4] + second[5, 5]) / 2.0
+        # Several chunks per partition and a merge of two partitions, then
+        # one 1e6-round partition of 245 chunks: the 6x6 moment matrix must
+        # agree with an exactly rounded sum of the same chunk products far
+        # below its statistical error, and the summary must be read from it.
+        for count, partitions, chunks in ((5 * _CHUNK + 17, 2, 6), (1_000_000, 1, 245)):
+            cfg = make_config(count=count, partitions=partitions, seed=28)
+            counts = [count // partitions + (k < count % partitions) for k in range(partitions)]
+            products = [v.T @ v for k, n_rounds in enumerate(counts) for v in partition_blocks(cfg, k, n_rounds)]
+            assert len(products) == chunks
+            exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(6)] for i in range(6)]) / count
+            second = sum(_partition_sums(cfg, k, n_rounds, 0, None) for k, n_rounds in enumerate(counts)) / count
+            diag = np.diag(exact)
+            assert np.all(np.abs(second - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
+            summary = run_protocol(cfg)
+            assert np.array_equal(summary.moments, second[:4, :4])
+            assert summary.delta_hat == (second[4, 4] + second[5, 5]) / 2.0
 
 
 SIM_800_KM = ["simulate", "--n0", "500", "--va", "1", "--length", "800", "--count", "3000", "--partitions", "3"]
@@ -473,10 +488,14 @@ class TestDump:
 
     def test_peak_memory_does_not_grow_with_count(self, tmp_path):
         dump = str(tmp_path / "r.csv")
-        assert peak_memory(4 * _CHUNK, 24, dump) <= 1.25 * peak_memory(_CHUNK, 24, dump)
+        peak = peak_memory(4 * _CHUNK, 24, dump)
+        assert peak <= 1.25 * peak_memory(_CHUNK, 24, dump)
+        assert peak <= DUMP_PEAK_BOUND
 
     def test_peak_memory_without_dump_does_not_grow_with_count(self):
-        assert peak_memory(4 * _CHUNK, 27) <= 1.25 * peak_memory(_CHUNK, 27)
+        peak = peak_memory(4 * _CHUNK, 27)
+        assert peak <= 1.25 * peak_memory(_CHUNK, 27)
+        assert peak <= PEAK_BOUND
 
     def test_no_part_file_is_left_behind(self, tmp_path):
         run_protocol(make_config(count=2000, partitions=3, seed=25), dump_path=str(tmp_path / "r.csv"), workers=2)
