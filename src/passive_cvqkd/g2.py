@@ -78,13 +78,18 @@ class QuadratureRecord:
         """Rescale a raw record into shot-noise units.
 
         ``shot_variance`` is the raw-unit variance corresponding to one
-        SNU, as determined by a vacuum reference.
+        SNU, as determined by a vacuum reference.  A record that overflows
+        in shot-noise units is a DegenerateDataError.
         """
         if self.unit_flag == UNIT_SNU:
             raise UnitError("record is already in shot-noise units")
         if not (shot_variance > 0.0 and math.isfinite(shot_variance)):
             raise ParameterError(f"shot_variance must be > 0, got {shot_variance}")
-        return replace(self, samples=self.samples / math.sqrt(shot_variance), unit_flag=UNIT_SNU)
+        with np.errstate(over="ignore"):
+            samples = self.samples / math.sqrt(shot_variance)
+        if not np.isfinite(samples).all():
+            raise DegenerateDataError("record overflows in shot-noise units")
+        return replace(self, samples=samples, unit_flag=UNIT_SNU)
 
 
 def load_quadrature_records(
@@ -264,7 +269,7 @@ def calibrate_photon_number(
     Raises:
         UnitError: records are not in the same units.
         DegenerateDataError: thermal variance below the vacuum reference,
-            or a variance or the estimate overflows.
+            an overflow, or a shot-noise scale that underflows to 0.
     """
     if thermal.unit_flag != vacuum.unit_flag:
         raise UnitError(
@@ -279,6 +284,8 @@ def calibrate_photon_number(
             f"thermal variance {s_th:.6g} is below the vacuum reference {s_vac:.6g}"
         )
     shot = s_vac / (1.0 + det.v_el)
+    if shot <= 0.0:
+        raise DegenerateDataError(f"shot-noise scale s_vac / (1 + v_el) underflows to 0 at v_el = {det.v_el:g}")
     k = (1.0 + det.v_el) / det.eta_d
     n_hat = k * (s_th / s_vac - 1.0)
 

@@ -140,9 +140,10 @@ def _symplectic_pair(s: FloatOrArray, p: FloatOrArray, label: str) -> tuple[Floa
     root = sqrt(disc * (abs(disc) > DISCRIMINANT_TOL))
     hi = (s + root) / 2.0
     lo = (s - root) / 2.0
-    ok = (hi >= 0.0) & (lo >= 0.0)
+    # Both eigenvalues must reach 1 - EIGENVALUE_TOL; lo <= hi, so lo decides.
+    ok = lo >= (1.0 - EIGENVALUE_TOL) ** 2
     if ok is not True:
-        _require(ok, PhysicalityError, "negative squared eigenvalue for {} pair: {:.3e}, {:.3e}", label, hi, lo)
+        _require(ok, PhysicalityError, "{} eigenvalue pair below 1 beyond tolerance: lambda^2 = {!r}", label, lo)
     return sqrt(hi), sqrt(lo)
 
 
@@ -200,11 +201,6 @@ def holevo_bound(
     v_b_het = v + sqrt_b * chi_het
     d = v_b_het * v_b_het / denom
     lam3, lam4 = _symplectic_pair(c, d, "conditional")
-
-    for lam in (lam1, lam2, lam3, lam4):
-        ok = lam >= 1.0 - EIGENVALUE_TOL
-        if ok is not True:
-            _require(ok, PhysicalityError, "symplectic eigenvalue {!r} below 1 beyond tolerance", lam)
 
     # Within tolerance an eigenvalue may sit just below 1; its term is g(0):
     # (x + |x|) / 4 is max(x, 0) / 2, exactly.

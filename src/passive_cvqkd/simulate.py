@@ -124,10 +124,6 @@ def _chunk(cfg: SimConfig, g: np.random.Generator, block, out, src, mod2, tmp):
     pairs[:, 0] = est.view(np.complex128)[:, 0]
     pairs[:, 1] = received.view(np.complex128)[:, 0]
     np.subtract(pairs[:, 0], out.view(np.complex128)[:, 0], out=pairs[:, 2])
-    # Inputs are validated, so only an overflow (a huge n0) gets here; a
-    # non-finite value at any stage reaches the block through the chain.
-    if not np.isfinite(block).all():
-        raise ParameterError("simulated quadratures contain NaN or Inf values")
     return block
 
 
@@ -151,7 +147,7 @@ def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, p
     # One set of chunk arrays serves every chunk of the partition.
     bufs = _chunk_buffers(min(_CHUNK, n_rounds))
     dump = open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext()
-    # A non-finite value is reported by _chunk's guard, not as a warning.
+    # A non-finite value is reported by run_protocol's moment check, not as a warning.
     with dump as fh, np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_rounds, _CHUNK):
             v = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
@@ -184,9 +180,9 @@ def run_protocol(
             header ``round,xA,pA,xB,pB`` in SNU at full precision.  Each
             partition writes its rows, a chunk at a time, to a part file
             in a temporary directory beside ``dump_path``; the parts are
-            then appended in partition order and removed, also when the
-            run fails.  Memory stays O(chunk), not O(count), and the
-            bytes do not depend on ``workers``.
+            then appended in partition order and removed; a failed run
+            leaves the dump empty.  Memory stays O(chunk), not O(count),
+            and the bytes do not depend on ``workers``.
         workers: process count for parallel partitions, at least 1;
             1 runs sequentially.  The pool is no larger than the
             number of partitions run or of CPUs this process may use.
@@ -218,22 +214,22 @@ def run_protocol(
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size)).map
         results = list(mapper(_partition_sums, itertools.repeat(cfg), range(len(counts)), counts, first_rows, parts))
+        n = cfg.count
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Merged in partition order, so the sum does not depend on ``workers``.
+            second = sum(results) / n
+            diag = np.diag(second)
+            # A non-finite quadrature at any stage reaches a diagonal moment, and the
+            # mutual-information estimate multiplies those pairwise; an overflow of
+            # either is reported, not warned, before any row reaches the dump.
+            if not np.isfinite(np.outer(diag, diag)).all():
+                raise ParameterError("simulated second moments overflow")
         if dump_path is not None:
             dump.write(DUMP_HEADER.encode() + b"\n")
             for part in parts:
                 with open(part, "rb") as fh:
                     shutil.copyfileobj(fh, dump)
 
-    n = cfg.count
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Merged in partition order, so the sum does not depend on ``workers``.
-        second = sum(results) / n
-        diag = np.diag(second)
-        # The mutual-information estimate multiplies second moments pairwise.
-        # Huge noise settings can overflow the sums or these products; that
-        # is reported, not warned.
-        if not np.isfinite(np.outer(diag, diag)).all():
-            raise ParameterError("simulated second moments overflow")
     # Standard error of a raw second moment of a zero-mean Gaussian
     # (Isserlis): var(m_ij) = (m_ii m_jj + m_ij^2) / n.  It is taken as a
     # hypot of square roots, so tiny moments do not underflow to zero error.

@@ -587,7 +587,8 @@ def _analyze(*flags):
 
 
 def _at_100_photons_10_km(*argv):
-    return lambda _: [*argv, "--n0", "100", "--length", "10"]
+    # The command comes first; the flags after it override these defaults.
+    return lambda _: [argv[0], "--n0", "100", "--length", "10", *argv[1:]]
 
 
 @pytest.mark.parametrize(
@@ -634,7 +635,7 @@ def _at_100_photons_10_km(*argv):
                 "simulated second moments overflow",
                 id="-".join(("simulate", *argv)).replace("--", ""),
             )
-            for argv in [("--v-el", "1e300"), ("--v-el", "1e308"), ("--eta-d", "1e-300")]
+            for argv in [("--v-el", "1e300"), ("--v-el", "1e308"), ("--eta-d", "1e-300"), ("--n0", "1e308")]
         ),
     ],
 )

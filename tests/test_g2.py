@@ -25,6 +25,7 @@ from passive_cvqkd import (
     load_quadrature_records,
     sample_thermal_quadratures,
 )
+from passive_cvqkd.cli import EXIT_DATA, main
 from passive_cvqkd.g2 import UNIT_SNU
 
 IV_DET = DetectorModel(0.5, 0.35)
@@ -177,8 +178,9 @@ def plus_minus(value):
             "photon-number estimate overflows",
         ),
         (lambda: g2_estimate(plus_minus(1e100).in_snu(1.0), n_boot=2, min_samples=2), "g2 overflows"),
+        (lambda: plus_minus(1e300).in_snu(1e-300), "record overflows in shot-noise units"),
     ],
-    ids=["variance", "photon-number", "g2"],
+    ids=["variance", "photon-number", "g2", "in-snu"],
 )
 def test_overflow_is_degenerate_data(call, message):
     # A numpy RuntimeWarning fails the test, so none may be raised on the way.
@@ -338,6 +340,18 @@ class TestCalibration:
         snu = thermal.in_snu(1.0)
         with pytest.raises(UnitError):
             calibrate_photon_number(snu, vacuum, IV_DET)
+
+    def test_shot_noise_scale_underflow_names_v_el(self, tmp_path, capsys):
+        # s_vac / (1 + v_el) underflows to 0: the data cannot be calibrated
+        # at this v_el, and no shot_variance was ever set by the caller.
+        vacuum = np.random.default_rng(68).normal(0.0, 1e-10, (20_000, 2))
+        with pytest.raises(DegenerateDataError, match="underflows to 0 at v_el = 1e"):
+            calibrate_photon_number(QuadratureRecord(vacuum), QuadratureRecord(vacuum), DetectorModel(1.0, 1e308))
+        path = tmp_path / "va.csv"
+        np.savetxt(path, vacuum, delimiter=",")
+        assert main(["analyze", str(path), str(path), "--v-el", "1e308", "--eta-d", "1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: shot-noise scale") and err.count("\n") == 1
 
     def test_loop_closure(self):
         # Records synthesized at the calibrated photon number reproduce

@@ -113,7 +113,7 @@ class TestHolevoBound:
         # than pure loss requires; the eigenvalue guard rejects it.
         from passive_cvqkd import PhysicalityError
 
-        with pytest.raises(PhysicalityError):
+        with pytest.raises(PhysicalityError, match="channel-output eigenvalue pair below 1 beyond tolerance"):
             holevo_bound(2.0, 0.05, 0.0, 3.4)
 
     def test_branch_reordering_leaves_bound_unchanged(self):

@@ -30,7 +30,7 @@ from passive_cvqkd import (
     total_noise,
 )
 from passive_cvqkd import cli
-from passive_cvqkd.cli import EXIT_IO, main
+from passive_cvqkd.cli import EXIT_CONFIG, EXIT_IO, main
 from passive_cvqkd.keyrate import mutual_information
 from passive_cvqkd.simulate import (
     _CHUNK,
@@ -189,7 +189,7 @@ class TestChunk:
         cfg = make_config(n0=1e308, v_a=v_a, count=1000, partitions=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="NaN or Inf"):
+            with pytest.raises(ParameterError, match="simulated second moments overflow"):
                 run_protocol(cfg)
 
 
@@ -509,6 +509,19 @@ class TestDump:
         with pytest.raises(OSError, match="disk full"):
             run_protocol(make_config(count=2000, partitions=3, seed=26), dump_path=str(tmp_path / "r.csv"))
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+    @pytest.mark.parametrize("overflow", [("--n0", "1e308"), ("--v-el", "1e300")], ids=["n0", "v_el"])
+    @pytest.mark.parametrize("pool", [(), ("--partitions", "3", "--workers", "2")], ids=["serial", "pooled"])
+    def test_overflow_leaves_an_empty_dump(self, tmp_path, capsys, overflow, pool):
+        # The moment check runs before any row is copied into the dump.
+        target = tmp_path / "rounds.csv"
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000", *overflow, *pool]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--dump", str(target)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: simulated second moments overflow\n"
+        assert target.stat().st_size == 0
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_dump_into_missing_directory_is_io_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "rounds.csv"
