@@ -156,20 +156,20 @@ def _settings_from(args: argparse.Namespace) -> dict[str, str]:
     return settings
 
 
+def _parse(label: str, parser, text: str):
+    """``parser(text)``; a value it refuses is a ParameterError naming ``label``."""
+    try:
+        return parser(text)
+    except ParameterError:  # parse_axis names the fault itself
+        raise
+    except ValueError:
+        kind = "an integer" if parser is int else "numeric"
+        raise ParameterError(f"{label} must be {kind}, got {text!r}") from None
+
+
 def _read(settings: dict[str, str], keys: list[str]) -> dict:
     """Parse each setting in ``keys`` once; a bad value names its key."""
-
-    def parse(name: str):
-        parser = _SETTINGS[name][1]
-        try:
-            return parser(settings[name])
-        except ParameterError:  # parse_axis names the fault itself
-            raise
-        except ValueError:
-            kind = "an integer" if parser is int else "numeric"
-            raise ParameterError(f"setting {name!r} must be {kind}, got {settings[name]!r}") from None
-
-    return {key: parse(key) for key in keys}
+    return {key: _parse(f"setting {key!r}", _SETTINGS[key][1], settings[key]) for key in keys}
 
 
 def _detectors(settings: dict[str, str], s: dict) -> tuple[DetectorModel, DetectorModel]:
@@ -295,6 +295,8 @@ def cmd_simulate(args: argparse.Namespace, settings: dict[str, str]) -> list[str
 
 def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
     s = _read(settings, _KEYS["analyze"])
+    n_boot = _parse("--n-boot", int, args.n_boot)
+    min_samples = _parse("--min-samples", int, args.min_samples)
     det = DetectorModel(s["eta_d"], s["v_el"])
     columns = None
     if args.columns:
@@ -305,20 +307,17 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]
     thermal = load_quadrature_records(args.thermal, columns=columns)
     vacuum = load_quadrature_records(args.vacuum, columns=columns)
 
+    samples_thermal, samples_vacuum = len(thermal), len(vacuum)
     cal = calibrate_photon_number(thermal, vacuum, det)
     snu = thermal.in_snu(cal.shot_variance)
-    result = g2_estimate(
-        snu,
-        n_boot=args.n_boot,
-        min_samples=args.min_samples,
-        rng=s["seed"],
-    )
+    del thermal, vacuum  # g2 and the histogram need only the SNU copy
+    result = g2_estimate(snu, n_boot=n_boot, min_samples=min_samples, rng=s["seed"])
     lines = [
         "command=analyze",
         f"thermal_file={args.thermal}",
         f"vacuum_file={args.vacuum}",
-        f"samples_thermal={len(thermal)}",
-        f"samples_vacuum={len(vacuum)}",
+        f"samples_thermal={samples_thermal}",
+        f"samples_vacuum={samples_vacuum}",
         f"eta_d={_fmt(det.eta_d)}",
         f"v_el={_fmt(det.v_el)}",
         f"thermal_variance_raw={_fmt(cal.thermal_variance)}",
@@ -384,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("vacuum", help="CSV of vacuum-input outcomes")
     p_an.add_argument("--columns", help="two header names to use as x,p (e.g. xA,pA)")
     p_an.add_argument("--histogram", help="write a 2-D histogram CSV of the calibrated record")
-    p_an.add_argument("--n-boot", dest="n_boot", type=int, default=200, help="bootstrap resamples")
-    p_an.add_argument("--min-samples", dest="min_samples", type=int, default=10_000, help="record-length floor for g2")
+    # Parsed in cmd_analyze, so that a bad value is one error line like a bad setting's.
+    p_an.add_argument("--n-boot", default="200", help="bootstrap resamples")
+    p_an.add_argument("--min-samples", default="10000", help="record-length floor for g2")
 
     command("optimize", cmd_optimize, "optimize modulation variance at one point")
     return parser

@@ -42,6 +42,8 @@ UNIT_SNU = "snu"
 DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
+# Rows binned per np.histogram2d call, whose temporaries grow with its rows.
+HISTOGRAM_SLICE_ROWS = 1 << 16
 
 
 @dataclass
@@ -353,10 +355,13 @@ def g2_estimate(
 
     # Z^2 of a record near the float limits overflows, in the record or in
     # a resample that repeats its largest Z; that is reported, not warned.
+    # One buffer holds Z^2, then each resample in turn.
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.square(record.samples).sum(axis=1)
+        z = np.square(record.samples[:, 0])
+        buf = np.square(record.samples[:, 1])
+        z += buf
         mean_z = float(z.mean())
-        mean_z2 = float(np.square(z).mean())
+        mean_z2 = float(np.square(z, out=buf).mean())
         if abs(mean_z - 1.0) < DEGENERATE_MEAN_Z_TOL:
             raise DegenerateDataError(
                 f"mean of Z is {mean_z:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
@@ -365,11 +370,13 @@ def g2_estimate(
         g = RngStream(rng).generator()
         boots = []
         for _ in range(n_boot):
-            zb = z[g.integers(0, n, n)]
+            # The indices are in [0, n), so "clip" never moves one; it only
+            # spares np.take the hidden copy that "raise" makes with out=.
+            zb = np.take(z, g.integers(0, n, n), out=buf, mode="clip")
             m1 = float(zb.mean())
             if abs(m1 - 1.0) < DEGENERATE_MEAN_Z_TOL:
                 continue
-            boots.append(ratio(m1, float(np.square(zb).mean())))
+            boots.append(ratio(m1, float(np.square(zb, out=zb).mean())))
         if len(boots) < 2:
             raise DegenerateDataError(f"only {len(boots)} of {n_boot} bootstrap resamples are usable; at least 2 are needed")
         stderr = float(np.std(boots, ddof=1))
@@ -404,12 +411,15 @@ def export_histogram(
     if s <= 0.0:
         raise DegenerateDataError("record has zero spread; histogram range is empty")
     half = HISTOGRAM_SPAN_SIGMAS * math.sqrt(s)
-    counts, x_edges, p_edges = np.histogram2d(
-        record.samples[:, 0],
-        record.samples[:, 1],
-        bins=HISTOGRAM_BINS,
-        range=[[-half, half], [-half, half]],
-    )
+    # Every slice has the same edges, so the summed counts are those of
+    # one call over the whole record, without its record-sized temporaries.
+    counts = np.zeros((HISTOGRAM_BINS, HISTOGRAM_BINS))
+    for start in range(0, len(record), HISTOGRAM_SLICE_ROWS):
+        part = record.samples[start : start + HISTOGRAM_SLICE_ROWS]
+        c, x_edges, p_edges = np.histogram2d(
+            part[:, 0], part[:, 1], bins=HISTOGRAM_BINS, range=[[-half, half], [-half, half]]
+        )
+        counts += c
     if path is not None:
         x_centers = 0.5 * (x_edges[:-1] + x_edges[1:])
         p_centers = 0.5 * (p_edges[:-1] + p_edges[1:])

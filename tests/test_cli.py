@@ -544,6 +544,27 @@ class TestAnalyze:
         assert configured.read_bytes() == plain.read_bytes()
 
 
+    def test_analyze_works_in_about_three_record_sized_arrays(self, tmp_path):
+        """Peak traced allocation of ``analyze`` with a histogram, on a
+        200k-row thermal and a 200k-row vacuum record: ~3.1 times the 3.2 MB
+        sample array of one record (measured), the two loaded records and
+        the calibrated copy.  Keeping the raw records alive after
+        calibration, or binning or resampling the whole record in one call,
+        adds record-sized arrays to that."""
+        count = 200_000
+        thermal, vacuum = write_records(tmp_path, count=count, seed=97)
+        argv = ["analyze", thermal, vacuum, "--histogram", str(tmp_path / "hist.csv"), "--n-boot", "2"]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK  # first-call caches are not the command's
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 3.5 * 16 * count
+
+
 class TestOptimizeCommand:
     def test_report_fields(self, tmp_path):
         out = tmp_path / "opt.txt"
@@ -599,6 +620,10 @@ def _at_100_photons_10_km(*argv):
         pytest.param(_analyze("--columns", "xB"), EXIT_CONFIG, "--columns needs two names", id="one-column"),
         pytest.param(
             _analyze("--n-boot", "1", "--min-samples", "1000"), EXIT_CONFIG, "n_boot must be >= 2", id="one-resample"
+        ),
+        pytest.param(_analyze("--n-boot", "x"), EXIT_CONFIG, "--n-boot must be an integer, got 'x'", id="n-boot-x"),
+        pytest.param(
+            _analyze("--min-samples", "x"), EXIT_CONFIG, "--min-samples must be an integer, got 'x'", id="min-samples-x"
         ),
         pytest.param(
             lambda _: ["optimize", "--n0", "0", "--length", "1"], EXIT_CONFIG, "photon number", id="no-photons"

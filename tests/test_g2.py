@@ -26,7 +26,7 @@ from passive_cvqkd import (
     sample_thermal_quadratures,
 )
 from passive_cvqkd.cli import EXIT_DATA, main
-from passive_cvqkd.g2 import UNIT_SNU
+from passive_cvqkd.g2 import HISTOGRAM_BINS, HISTOGRAM_SLICE_ROWS, HISTOGRAM_SPAN_SIGMAS, UNIT_SNU
 
 IV_DET = DetectorModel(0.5, 0.35)
 
@@ -430,6 +430,28 @@ class TestG2:
         assert a.g2 == b.g2
         assert a.stderr == b.stderr
 
+    def test_bootstrap_matches_a_reference_resampling_bit_for_bit(self):
+        # The estimator reuses one buffer for every resample; the reference
+        # gathers and squares fresh arrays, resample by resample.
+        samples = 1.5 * RngStream(81).generator().standard_normal((30_000, 2))
+        n, n_boot, seed = len(samples), 50, 13
+        result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), n_boot=n_boot, rng=seed)
+
+        def ratio(m1, m2):
+            return (m2 - 4.0 * m1 + 2.0) / ((m1 - 1.0) * (m1 - 1.0))
+
+        z = np.square(samples).sum(axis=1)
+        g = RngStream(seed).generator()
+        boots = []
+        for _ in range(n_boot):
+            zb = z[g.integers(0, n, n)]
+            boots.append(ratio(float(zb.mean()), float(np.square(zb).mean())))
+        assert result.resamples == n_boot
+        assert result.stderr == float(np.std(boots, ddof=1))
+        assert result.mean_z == float(z.mean())
+        assert result.mean_z2 == float(np.square(z).mean())
+        assert result.g2 == ratio(result.mean_z, result.mean_z2)
+
     def test_bootstrap_stderr_scales_as_inverse_root_count(self):
         g = RngStream(79).generator()
         big = 3.0 * g.standard_normal((400_000, 2))
@@ -465,6 +487,48 @@ class TestHistogram:
         assert lines[0] == "bin_x,bin_p,count"
         assert len(lines) == 1 + 128 * 128
         assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == counts.sum()
+
+    @staticmethod
+    def assert_equals_one_whole_record_histogram(record, half):
+        counts, x_edges, p_edges = export_histogram(record)
+        x, p = record.samples[:, 0], record.samples[:, 1]
+        whole, x_whole, p_whole = np.histogram2d(x, p, bins=HISTOGRAM_BINS, range=[[-half, half], [-half, half]])
+        assert np.array_equal(x_edges, x_whole) and np.array_equal(p_edges, p_whole)
+        assert counts.dtype == np.int64 and np.array_equal(counts, whole)
+        return counts
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param(1_000, id="shorter-than-a-slice"),
+            pytest.param(HISTOGRAM_SLICE_ROWS, id="one-slice"),
+            pytest.param(2 * HISTOGRAM_SLICE_ROWS + 123, id="not-a-multiple-of-the-slice"),
+        ],
+    )
+    def test_sliced_counts_equal_one_whole_record_histogram(self, rows):
+        samples = 2.0 * RngStream(86).generator().standard_normal((rows, 2))
+        samples[-3:] = [[1e3, 0.0], [0.0, -1e3], [-1e3, 1e3]]  # outside the range, in the last slice
+        record = QuadratureRecord(samples, UNIT_SNU)
+        half = HISTOGRAM_SPAN_SIGMAS * math.sqrt(record.pooled_variance())
+        counts = self.assert_equals_one_whole_record_histogram(record, half)
+        assert counts.sum() == rows - 3
+
+    @pytest.mark.parametrize("pairs", [10, 2_700], ids=["shorter-than-a-slice", "not-a-multiple-of-the-slice"])
+    def test_samples_on_the_range_limits_are_counted_as_in_one_whole_record_histogram(self, pairs):
+        # Each quadrature has mean 0 and a sum of squares of 50 * pairs over
+        # 50 * pairs + 1 rows, so its variance is exactly 1 and the range is
+        # exactly [-5, 5].  p holds `pairs` pairs of +-5 and zeros; x holds
+        # five fewer pairs of +-5, one pair at +-10, outside the range, and
+        # one each at +-3 and +-4.
+        n = 50 * pairs + 1
+        x, p = np.zeros(n), np.zeros(n)
+        x[: 2 * pairs - 4] = [5.0, -5.0] * (pairs - 5) + [10.0, -10.0, 3.0, -3.0, 4.0, -4.0]
+        p[: 2 * pairs] = [5.0, -5.0] * pairs
+        g = RngStream(87).generator()
+        record = QuadratureRecord(np.column_stack([g.permutation(x), g.permutation(p)]), UNIT_SNU)
+        assert record.pooled_variance() == 1.0
+        counts = self.assert_equals_one_whole_record_histogram(record, 5.0)
+        assert counts.sum() == n - 2
 
     def test_zero_spread_is_degenerate(self):
         record = QuadratureRecord(np.zeros((100, 2)), UNIT_SNU)
