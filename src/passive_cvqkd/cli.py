@@ -394,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command: read its settings, then write the report lines
     ``args.func`` returns to ``out`` or stdout; an error is one line on
-    stderr and its exit code."""
+    stderr and its exit code.  A usage error (an unknown flag, a missing
+    positional or a flag without its value) is argparse's: its usage block
+    and error line on stderr, then ``SystemExit(2)``."""
     args = build_parser().parse_args(argv)
     try:
         settings = _settings_from(args)

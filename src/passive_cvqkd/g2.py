@@ -89,9 +89,11 @@ class QuadratureRecord:
             raise ParameterError(f"shot_variance must be > 0, got {shot_variance}")
         with np.errstate(over="ignore"):
             samples = self.samples / math.sqrt(shot_variance)
-        if not np.isfinite(samples).all():
-            raise DegenerateDataError("record overflows in shot-noise units")
-        return replace(self, samples=samples, unit_flag=UNIT_SNU)
+        try:
+            return replace(self, samples=samples, unit_flag=UNIT_SNU)
+        except ParameterError:
+            # This record's samples are finite, so the rescaling overflowed.
+            raise DegenerateDataError("record overflows in shot-noise units") from None
 
 
 def load_quadrature_records(
@@ -125,9 +127,12 @@ def load_quadrature_records(
             not UTF-8.
     """
     samples = _load_plain(path, columns) if _is_plain(path) else None
-    if samples is None:
-        samples = _scan(path, columns)
-    return QuadratureRecord(samples, unit_flag=UNIT_RAW)
+    if samples is not None:
+        try:
+            return QuadratureRecord(samples, unit_flag=UNIT_RAW)
+        except ParameterError:
+            pass  # a cell that is not finite; the line scanner names its line
+    return QuadratureRecord(_scan(path, columns), unit_flag=UNIT_RAW)
 
 
 def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, path: str) -> tuple[bool, int, int]:
@@ -169,7 +174,8 @@ def _is_plain(path: str) -> bool:
 
 
 def _load_plain(path: str, columns: tuple[str, str] | None) -> np.ndarray | None:
-    """The record of a plain ASCII file by ``np.loadtxt``, or None if it refuses."""
+    """The samples of a plain ASCII file by ``np.loadtxt``, or None if it
+    refuses; the record built from them checks that they are finite."""
     with open(path, "r", encoding="utf-8") as fh:
         first = next((line for line in iter(fh.readline, "") if line.strip()), None)
         has_header, idx_x, idx_p = _resolve_columns(first, columns, path)
@@ -187,7 +193,7 @@ def _load_plain(path: str, columns: tuple[str, str] | None) -> np.ndarray | None
                 )
         except ValueError:
             return None
-    if data.shape[1] != 2 or len(data) < 2 or not np.isfinite(data).all():
+    if data.shape[1] != 2 or len(data) < 2:
         return None
     return data
 

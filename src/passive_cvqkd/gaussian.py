@@ -91,13 +91,10 @@ def sample_thermal_quadratures(n_mean: float, count: int, rng: RngStream) -> np.
         raise ParameterError(f"mean photon number must be finite and >= 0, got {n_mean}")
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    return _thermal(n_mean, rng.generator(), np.empty((int(count), 2)))
-
-
-def _thermal(n_mean: float, g: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with thermal quadratures; no validation.  ``sigma * z``
-    rounds like ``g.normal(0.0, sigma)``, which draws the same ``z``."""
-    return np.multiply(g.standard_normal(out=out), math.sqrt(2.0 * n_mean + 1.0), out=out)
+    samples = rng.generator().standard_normal((int(count), 2))
+    # sigma * z rounds like g.normal(0.0, sigma), which draws the same z.
+    samples *= math.sqrt(2.0 * n_mean + 1.0)
+    return samples
 
 
 def beamsplitter(
@@ -129,16 +126,11 @@ def beamsplitter(
     return _split(a, b, t), _split(a, b, t, port=1)
 
 
-def _split(a, b, t: float, port: int = 0, out=None, tmp=None):
-    """Output ``port`` (0 or 1) of :func:`beamsplitter`; no validation.
-
-    ``ca * a`` goes into ``out`` and ``cb * b`` into ``tmp`` before they are
-    added, which rounds like the expression ``ca * a + cb * b``.  Given ``out``
-    and ``tmp``, nothing is allocated; ``out`` may be ``a``, ``tmp`` may be ``b``.
-    """
+def _split(a, b, t: float, port: int = 0):
+    """Output ``port`` (0 or 1) of :func:`beamsplitter`; no validation."""
     ct, st = math.sqrt(t), math.sqrt(1.0 - t)
     ca, cb = (ct, st) if port == 0 else (-st, ct)
-    return np.add(np.multiply(a, ca, out=out), np.multiply(b, cb, out=tmp), out=out)
+    return ca * a + cb * b
 
 
 def heterodyne_measure(
@@ -172,12 +164,14 @@ def heterodyne_measure(
     """
     samples = np.asarray(samples, dtype=np.float64)
     _check_finite(samples, "samples")
-    return _heterodyne(samples, det, rng.generator())
+    gain, noise = _receiver_gains(det)
+    outcome = rng.generator().standard_normal(samples.shape)
+    outcome *= noise
+    outcome += samples * gain
+    return outcome
 
 
-def _heterodyne(samples: np.ndarray, det: DetectorModel, g: np.random.Generator, out=None, tmp=None):
-    """:func:`heterodyne_measure` without validation.  Given ``out`` and ``tmp``,
-    nothing is allocated; ``out`` may be ``samples``, ``tmp`` neither of them."""
-    noise = g.standard_normal(samples.shape, out=tmp)
-    noise *= math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el)
-    return np.add(np.multiply(samples, math.sqrt(det.eta_d / 2.0), out=out), noise, out=out)
+def _receiver_gains(det: DetectorModel) -> tuple[float, float]:
+    """Per quadrature, the gain of a receiver's input on its outcome and
+    the amplitude of its one noise draw; see :func:`heterodyne_measure`."""
+    return math.sqrt(det.eta_d / 2.0), math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el)

@@ -3,7 +3,9 @@
 One round draws a thermal source state, splits it, attenuates the
 outgoing arm, measures the retained arm with Alice's noisy receiver and
 rescales the outcome into an estimate of the outgoing quadratures, then
-applies the lossy noisy channel and Bob's receiver.  The empirical
+applies the lossy noisy channel and Bob's receiver.  The chain is
+linear, so a round is drawn as six standard normals through one fixed
+factor of its map, which has the chain's law exactly.  The empirical
 second moments of ``(x_A, p_A, x_B, p_B)`` must reproduce the
 closed-form noise budget; the outgoing quadrature is additionally
 tracked as simulation-only ground truth, so every run also estimates
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
-from .gaussian import DetectorModel, RngStream, _heterodyne, _split, _thermal
+from .gaussian import DetectorModel, RngStream, _receiver_gains, _split
 from .noise import ChannelModel, ProtocolParams
 
 __all__ = [
@@ -43,7 +45,8 @@ DUMP_HEADER = "round,xA,pA,xB,pB"
 
 # Rounds are processed in fixed-size chunks so that draws, and therefore
 # results, do not depend on how partitions are scheduled.  A chunk's arrays,
-# 14 doubles a round (448 KiB), stay in L2 cache; its dump rows are one write.
+# its six normals and six-column rows (384 KiB), stay in L2 cache; its dump
+# rows are one write.
 _CHUNK = 1 << 12
 
 
@@ -88,43 +91,87 @@ class SimSummary:
     delta_stderr: float
 
 
-def _chunk_buffers(m: int) -> list[np.ndarray]:
-    """Arrays for chunks of up to ``m`` rounds: the ``(m, 6)`` block and
-    four ``(m, 2)`` scratch arrays."""
-    return [np.empty((m, 6))] + [np.empty((m, 2)) for _ in range(4)]
+def _coefficients(cfg: SimConfig) -> np.ndarray:
+    """Per quadrature, the 3x8 map of the chain's independent standard
+    normals onto ``(d, est, B)``: the estimate error ``d = est - x_out``,
+    Alice's estimate and Bob's outcome.
 
-
-def _chunk(cfg: SimConfig, g: np.random.Generator, block, out, src, mod2, tmp):
-    """Draw ``len(block)`` rounds of ``cfg`` in place and return ``block``.
-
-    Each row is ``(x_A, p_A, x_B, p_B, d_x, d_p)``: Alice's estimate, Bob's
-    outcome and ``d = est - x_out``, the error of the estimate against the
-    outgoing quadratures.  ``out``, ``src``, ``mod2`` and ``tmp`` are scratch.
+    The inputs, in the chain's order, are the source, the two splitter
+    vacua, the attenuator's vacuum, Alice's receiver noise, the channel's
+    excess noise and loss vacuum, and Bob's receiver noise.  Each mode is
+    its row of coefficients on them, passed through the element maps.
     """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
-    _thermal(params.n0, g, src)
+    src, vac1, vac2, vac_att, noise_a, excess, vac_ch, noise_b = np.eye(8)
+    src = math.sqrt(2.0 * params.n0 + 1.0) * src
     # Each splitter arm gets its own vacuum admixture, so the noise on
     # Alice's estimate is independent of the noise on the outgoing
     # mode; this is the preparation model whose estimate-error
-    # variance is excess_noise_alice() + 1.  Only the arm each splitter
-    # passes on is computed.
-    _split(src, g.standard_normal(out=tmp), 0.5, out=out, tmp=tmp)
-    _split(g.standard_normal(out=mod2), src, 0.5, port=1, out=mod2, tmp=tmp)
-    _split(out, g.standard_normal(out=tmp), params.eta_a, out=out, tmp=tmp)
-    est = _heterodyne(mod2, det_a, g, out=mod2, tmp=tmp)
-    est *= math.sqrt(2.0 * params.eta_a / det_a.eta_d)
+    # variance is excess_noise_alice() + 1.
+    mod1 = _split(src, vac1, 0.5)
+    mod2 = _split(vac2, src, 0.5, port=1)
+    # Rescaled, Alice's receiver passes her arm with the attenuator's gain,
+    # taken as the same float, so d's source coefficient is exactly 0: d is
+    # never a difference of two samples of size sqrt(v_a).
+    gain = math.sqrt(params.eta_a)
+    out = gain * mod1 + math.sqrt(1.0 - params.eta_a) * vac_att
+    est = gain * mod2 + math.sqrt(2.0 * params.eta_a / det_a.eta_d) * _receiver_gains(det_a)[1] * noise_a
     # Channel excess noise is injected at the channel input.
-    received = np.multiply(g.standard_normal(out=src), math.sqrt(params.eps0), out=src)
-    received += out
-    _split(received, g.standard_normal(out=tmp), cfg.channel.t, out=received, tmp=tmp)
-    _heterodyne(received, det_b, g, out=received, tmp=tmp)
-    # As complex128 each (x, p) pair is one element, so each third of the
-    # block is filled in one strided pass, not in one call per pair.
-    pairs = block.view(np.complex128)
-    pairs[:, 0] = est.view(np.complex128)[:, 0]
-    pairs[:, 1] = received.view(np.complex128)[:, 0]
-    np.subtract(pairs[:, 0], out.view(np.complex128)[:, 0], out=pairs[:, 2])
-    return block
+    received = _split(out + math.sqrt(params.eps0) * excess, vac_ch, cfg.channel.t)
+    gain_b, amp_b = _receiver_gains(det_b)
+    return np.array([est - out, est, gain_b * received + amp_b * noise_b])
+
+
+def _factor(cfg: SimConfig) -> np.ndarray:
+    """The 3x3 upper-triangular ``R`` for which ``z @ R``, ``z`` a row of
+    three standard normals, has the law of one quadrature's
+    ``(est, B, d)``; x and p share it.
+
+    ``R.T @ R`` is the Gram matrix of the rows ``e``, ``b`` and ``d`` of
+    ``_coefficients(cfg)``, and each entry is formed without cancellation,
+    so every moment of ``(x_A, p_A, x_B, p_B)`` holds to a few ulps of
+    itself.  ``e`` and ``b`` share only the source input, so
+    ``cov(est, B) = R00 R01`` is one product.  ``R11 = |e ^ b| / |e|``
+    (Lagrange's identity), where ``|b|^2 - R01^2`` would cancel terms of
+    size ``v_a``.  ``d``'s dot products sum terms of one sign, and
+    ``R22``, its remainder, holds to a few ulps of ``|d|``, all its
+    variance needs; no entry of ``d``'s column is of size ``sqrt(v_a)``.
+    """
+    d, e, b = _coefficients(cfg)
+    r = np.zeros((3, 3))
+    r[0, 0] = math.hypot(*e)
+    if r[0, 0] > 0.0:  # with v_a = 0 the estimate is exactly 0
+        wedge = np.outer(e, b) - np.outer(b, e)
+        r[0, 1:] = (e * b).sum() / r[0, 0], (e * d).sum() / r[0, 0]
+        r[1, 1] = math.hypot(*wedge[np.triu_indices(8, 1)]) / r[0, 0]
+    else:
+        r[1, 1] = math.hypot(*b)
+    r[1, 2] = ((b * d).sum() - r[0, 1] * r[0, 2]) / r[1, 1]
+    r[2, 2] = math.sqrt(max((d * d).sum() - r[0, 2] ** 2 - r[1, 2] ** 2, 0.0))
+    return r
+
+
+def _chunk(r: np.ndarray, g: np.random.Generator, bufs: np.ndarray, m: int) -> np.ndarray:
+    """Draw ``m`` rounds through ``r``; returns their rows
+    ``(x_A, p_A, x_B, p_B, d_x, d_p)`` as an (m, 6) view of ``bufs[1]``.
+
+    ``bufs`` is a pair of flat arrays of at least ``6 m`` doubles; the
+    normals fill the first as six blocks of ``m``.  The rows are formed
+    with numpy's exactly rounded multiply and add, not BLAS, so they do
+    not depend on a BLAS build.
+    """
+    z, block = (buf[: 6 * m].reshape(6, m) for buf in bufs)
+    g.standard_normal(out=z)
+    for k in (0, 1):  # x, then p
+        z0, z1, z2 = z[3 * k : 3 * k + 3]
+        est, b, d = block[k::2]
+        np.multiply(z2, r[2, 2], out=d)
+        d += np.multiply(z1, r[1, 2], out=z2)  # z2 is scratch from here
+        d += np.multiply(z0, r[0, 2], out=z2)
+        np.multiply(z1, r[1, 1], out=b)
+        b += np.multiply(z0, r[0, 1], out=z2)
+        np.multiply(z0, r[0, 0], out=est)
+    return block.T
 
 
 def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
@@ -134,23 +181,24 @@ def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
     fh.write("".join(f"{row},{xa!r},{pa!r},{xb!r},{pb!r}\n" for row, (xa, pa, xb, pb) in rows))
 
 
-def _partition_sums(cfg: SimConfig, index: int, n_rounds: int, first_row: int, part_path: str | None):
-    """Run one partition; returns the 6x6 sum of ``v.T @ v`` over its
+def _partition_sums(r: np.ndarray, stream: RngStream, n_rounds: int, first_row: int, part_path: str | None):
+    """Run one partition of ``n_rounds`` rounds drawn from ``stream``
+    through ``r``; returns the 6x6 sum of ``v.T @ v`` over its
     chunks, ``v`` being a chunk's block of rows.  Plain summation
     suffices: a partition of 1e6 rounds adds 245 chunk products.
 
     With ``part_path`` the partition's rounds are also written there as
     dump rows numbered from ``first_row``, one chunk at a time.
     """
-    g = RngStream(cfg.master_seed, index).generator()
+    g = stream.generator()
     gram = np.zeros((6, 6))
-    # One set of chunk arrays serves every chunk of the partition.
-    bufs = _chunk_buffers(min(_CHUNK, n_rounds))
+    # One pair of chunk arrays, the normals and their rows, serves every chunk.
+    bufs = np.empty((2, 6 * min(_CHUNK, n_rounds)))
     dump = open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext()
     # A non-finite value is reported by run_protocol's moment check, not as a warning.
     with dump as fh, np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_rounds, _CHUNK):
-            v = _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs))
+            v = _chunk(r, g, bufs, min(_CHUNK, n_rounds - done))
             gram += v.T @ v
             if fh is not None:
                 _write_rows(fh, v[:, :4], first_row + done)
@@ -213,7 +261,11 @@ def run_protocol(
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=pool_size)).map
-        results = list(mapper(_partition_sums, itertools.repeat(cfg), range(len(counts)), counts, first_rows, parts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # A non-finite coefficient (a huge n0) reaches the moment check below.
+            factor = _factor(cfg)
+        streams = [RngStream(cfg.master_seed, k) for k in range(len(counts))]
+        results = list(mapper(_partition_sums, itertools.repeat(factor), streams, counts, first_rows, parts))
         n = cfg.count
         with np.errstate(over="ignore", invalid="ignore"):
             # Merged in partition order, so the sum does not depend on ``workers``.

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -886,7 +887,31 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert run.stdout == "[]\n"
 
 
-def test_unknown_command_exits_with_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+USAGE_ERRORS = [
+    ["frobnicate"],
+    [],
+    ["sweep", "--bogus", "1"],
+    ["sweep", "--n0"],
+    ["optimize", "--bogus", "1"],
+    ["optimize", "--length"],
+    ["simulate", "--bogus", "1"],
+    ["simulate", "--n0"],
+    ["analyze", "thermal.csv"],
+    ["analyze", "thermal.csv", "vacuum.csv", "--bogus", "1"],
+    ["analyze", "thermal.csv", "vacuum.csv", "--columns"],
+]
+
+
+def test_unknown_command_exits_with_usage_error(capsys):
+    # An unknown command or flag, a missing positional or a flag without its
+    # value is argparse's to report: its usage block, then one error line,
+    # exit 2.  CI's smoke step checks a real process for the traceback.
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: passive-cvqkd"), argv
+        assert re.match(r"passive-cvqkd( [a-z]+)?: error: ", lines[-1]), argv

@@ -163,6 +163,17 @@ class TestRecord:
         with pytest.raises(ParameterError, match="shot_variance must be > 0"):
             QuadratureRecord(np.ones((2, 2))).in_snu(shot_variance)
 
+    def test_load_and_rescale_scan_each_array_once(self, tmp_path, monkeypatch):
+        # The record's own finiteness check is the only pass over a loaded
+        # array and over its copy in shot-noise units.
+        path = tmp_path / "r.csv"
+        np.savetxt(path, np.ones((1000, 2)), delimiter=",")
+        shapes = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a, *args: shapes.append(np.shape(a)) or isfinite(a, *args))
+        load_quadrature_records(str(path)).in_snu(2.0)
+        assert shapes.count((1000, 2)) == 2
+
 
 def plus_minus(value):
     """A two-row record of ``±value`` in x and 0 in p."""

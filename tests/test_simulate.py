@@ -35,7 +35,8 @@ from passive_cvqkd.keyrate import mutual_information
 from passive_cvqkd.simulate import (
     _CHUNK,
     _chunk,
-    _chunk_buffers,
+    _coefficients,
+    _factor,
     _partition_sums,
     _usable_cpus,
     analytic_moments,
@@ -59,45 +60,33 @@ def make_config(n0=340.0, v_a=1.0, length=10.0, count=250_000, seed=42, partitio
     )
 
 
-def reference_chunk(cfg, m, g):
-    """The simulator's chain, written with the public allocating beam
-    splitter and the written formulas of the source and the receivers,
-    which ``tests/test_gaussian.py`` pins ``sample_thermal_quadratures``
-    and ``heterodyne_measure`` to.
+def reference_coefficients(cfg):
+    """The simulator's chain on unit inputs, written with the public
+    allocating beam splitter and the written formulas of the source and
+    the receivers, which ``tests/test_gaussian.py`` pins
+    ``sample_thermal_quadratures`` and ``heterodyne_measure`` to.
 
-    Every splitter computes both outputs and every stage is checked for
-    finiteness; the draws are taken in the same order as in ``_chunk``.
+    Input k is the batch of pairs that is (1, 1) in row k and 0 elsewhere.
+    The chain is linear and acts on each row alone, so row k of an output
+    holds its coefficient on input k, alike in x and p.  Every splitter
+    computes both outputs and checks its inputs for finiteness.  Returns
+    the x and the p coefficients of ``(d, est, B)``, each 3x8.
     """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
     eta_a = params.eta_a
+    src, vac1, vac2, vac_att, noise_a, excess, vac_ch, noise_b = np.eye(8)[:, :, None] * np.ones(2)
 
-    def heterodyne(samples, det):
-        noise = math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el) * g.standard_normal((m, 2))
-        return math.sqrt(det.eta_d / 2.0) * samples + noise
+    def heterodyne(samples, det, noise):
+        return math.sqrt(det.eta_d / 2.0) * samples + math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el) * noise
 
-    src = g.normal(0.0, math.sqrt(2.0 * params.n0 + 1.0), size=(m, 2))
-    mod1, _ = beamsplitter(src, g.standard_normal((m, 2)), 0.5)
-    _, mod2 = beamsplitter(g.standard_normal((m, 2)), src, 0.5)
-    out, _ = beamsplitter(mod1, g.standard_normal((m, 2)), eta_a)
-    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne(mod2, det_a)
-    excess = math.sqrt(params.eps0) * g.standard_normal((m, 2))
-    received, _ = beamsplitter(out + excess, g.standard_normal((m, 2)), cfg.channel.t)
-    return np.concatenate([est, heterodyne(received, det_b)], axis=1), out
-
-
-class UnitFills:
-    """Stand-in generator whose k-th ``standard_normal`` fill is 1 in row k
-    and 0 elsewhere.  The chain is linear and acts on each row alone, so
-    row k of a chunk holds every output's coefficient on draw k."""
-
-    def __init__(self):
-        self.fills = 0
-
-    def standard_normal(self, size=None, out=None):
-        out[...] = 0.0
-        out[self.fills] = 1.0
-        self.fills += 1
-        return out
+    src = math.sqrt(2.0 * params.n0 + 1.0) * src
+    mod1, _ = beamsplitter(src, vac1, 0.5)
+    _, mod2 = beamsplitter(vac2, src, 0.5)
+    out, _ = beamsplitter(mod1, vac_att, eta_a)
+    est = math.sqrt(2.0 * eta_a / det_a.eta_d) * heterodyne(mod2, det_a, noise_a)
+    received, _ = beamsplitter(out + math.sqrt(params.eps0) * excess, vac_ch, cfg.channel.t)
+    rows = np.array([est - out, est, heterodyne(received, det_b, noise_b)])
+    return rows[:, :, 0], rows[:, :, 1]
 
 
 DETECTORS = st.builds(DetectorModel, st.floats(1e-6, 1.0), st.floats(0.0, 10.0))
@@ -106,15 +95,16 @@ DETECTORS = st.builds(DetectorModel, st.floats(1e-6, 1.0), st.floats(0.0, 10.0))
 def partition_blocks(cfg, index, n_rounds):
     """Copies of one partition's chunk blocks, drawn from one generator
     in the order ``_partition_sums`` draws them."""
-    g = RngStream(cfg.master_seed, index).generator()
-    bufs = _chunk_buffers(min(_CHUNK, n_rounds))
+    r, g = _factor(cfg), RngStream(cfg.master_seed, index).generator()
+    bufs = np.empty((2, 6 * min(_CHUNK, n_rounds)))
     for done in range(0, n_rounds, _CHUNK):
-        yield _chunk(cfg, g, *(b[: min(_CHUNK, n_rounds - done)] for b in bufs)).copy()
+        yield _chunk(r, g, bufs, min(_CHUNK, n_rounds - done)).copy()
 
 
-# Traced peaks of a one-partition run of 4 chunks: 1.84 MB with the dump
-# and 0.49 MB without it (Python 3.11, numpy 2.4).  The bounds sit ~1.5x
-# above them; at 2^17-round chunks the arrays alone would take 14.7 MB.
+# Traced peaks of a one-partition run of 4 chunks: 1.78 MB with the dump
+# and 0.40 MB without it (Python 3.11, numpy 2.4), of which the chunk's
+# normals and rows take 0.39 MB.  The bounds sit ~1.5x and ~1.9x above
+# them; at 2^17-round chunks those two arrays alone would take 12.6 MB.
 DUMP_PEAK_BOUND = 2_750_000
 PEAK_BOUND = 750_000
 
@@ -144,20 +134,40 @@ class TestChunk:
         ],
         ids=["reference", "v_a=0", "eta_d=1,v_el=0", "L=0"],
     )
-    def test_matches_the_public_chain_bit_for_bit(self, kw):
+    def test_coefficients_match_the_public_chain(self, kw):
         cfg = make_config(**kw)
-        g, g_ref = RngStream(31, 2).generator(), RngStream(31, 2).generator()
-        bufs = _chunk_buffers(_CHUNK)
-        # A full chunk, then a shorter tail that reuses the same arrays.
+        c = _coefficients(cfg)
+        ref_x, ref_p = reference_coefficients(cfg)
+        assert np.array_equal(ref_x, ref_p)
+        # Both arms carry the source with one float gain, so the estimate
+        # error has no source term at all; the reference, which rescales
+        # Alice's outcome by its own float, leaves ~1 ulp of a source sample.
+        assert c[0, 0] == 0.0
+        assert abs(ref_x[0, 0]) <= 4e-16 * ref_x[1, 0]
+        ref_x[0, 0] = 0.0
+        assert np.allclose(c, ref_x, rtol=4e-16, atol=0.0)
+
+    def test_rows_are_the_streams_normals_through_the_factor(self, tmp_path):
+        # A full chunk, then a shorter tail that reuses the same arrays.  A
+        # chunk of m rounds draws six blocks of m normals, three for x and
+        # three for p; est and B are exactly rounded products and sums.
+        cfg = make_config(count=_CHUNK + 1000, partitions=1)
+        path = tmp_path / "rounds.csv"
+        run_protocol(cfg, dump_path=str(path))
+        r, g = _factor(cfg), RngStream(cfg.master_seed, 0).generator()
+        rows = []
         for m in (_CHUNK, 1000):
-            block = _chunk(cfg, g, *(b[:m] for b in bufs))
-            ref_block, ref_out = reference_chunk(cfg, m, g_ref)
-            assert np.array_equal(block[:, :4], ref_block)
-            assert np.array_equal(block[:, 4:], ref_block[:, :2] - ref_out)
+            z = g.standard_normal((6, m))
+            est = r[0, 0] * z[[0, 3]]
+            b = r[0, 1] * z[[0, 3]] + r[1, 1] * z[[1, 4]]
+            rows.append(np.concatenate([est, b]).T)
+        dumped = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(dumped[:, 0], np.arange(cfg.count))
+        assert np.array_equal(dumped[:, 1:], np.concatenate(rows))
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(
-        n0=st.floats(1e-2, 1e6),
+        n0=st.floats(1e-2, 1e34),
         share=st.floats(0.0, 1.0),
         det_a=DETECTORS,
         det_b=DETECTORS,
@@ -166,22 +176,23 @@ class TestChunk:
     )
     @example(n0=340.0, share=0.0, det_a=REF_DET, det_b=REF_DET, length=10.0, eps0=0.01)
     @example(n0=1e6, share=1.0, det_a=DetectorModel(1.0, 0.0), det_b=DetectorModel(1e-6, 10.0), length=0.0, eps0=0.0)
+    @example(n0=1e34, share=1.0, det_a=REF_DET, det_b=REF_DET, length=10.0, eps0=0.01)
+    @example(n0=1e34, share=1e-300, det_a=REF_DET, det_b=REF_DET, length=10.0, eps0=0.01)
     def test_has_the_exact_law_of_the_closed_forms(self, n0, share, det_a, det_b, length, eps0):
-        # With one unit draw per row, C.T @ C over a quadrature's columns is
-        # the chain's exact covariance, free of Monte Carlo noise.  The x-p
-        # cross terms are skipped: the stand-in fills both columns alike.
+        # A row z @ R of three standard normals has covariance R.T @ R, the
+        # chain's exact law of (est, B, d) in either quadrature, free of
+        # Monte Carlo noise; x and p draw from disjoint normals.
         cfg = make_config(n0=n0, v_a=share * n0, length=length, eps0=eps0, det_a=det_a, det_b=det_b)
-        g = UnitFills()
-        block = _chunk(cfg, g, *_chunk_buffers(8))
-        assert g.fills == 8
+        r = _factor(cfg)
+        assert not np.tril(r, -1).any()
+        cov = r.T @ r
         predicted = analytic_moments(cfg.params, det_a, det_b, cfg.channel)
         delta = excess_noise_alice(cfg.params, det_a) + 1.0
-        for a, b, d in ((0, 2, 4), (1, 3, 5)):
-            cov = block[:, [a, b, d]].T @ block[:, [a, b, d]]
-            assert cov[2, 2] == pytest.approx(delta, rel=1e-12)
-            expected = predicted[np.ix_([a, b], [a, b])]
-            # The absolute term covers the exact zeros at v_a = 0 and the
-            # subnormal moments of a subnormal v_a.
+        assert cov[2, 2] == pytest.approx(delta, rel=1e-12)
+        # The absolute term covers the exact zeros at v_a = 0 and the
+        # subnormal moments of a subnormal v_a.
+        for q in (0, 1):
+            expected = predicted[np.ix_([q, 2 + q], [q, 2 + q])]
             assert (np.abs(cov[:2, :2] - expected) <= 1e-12 * np.abs(expected) + 1e-300).all()
 
     @pytest.mark.parametrize("v_a", [0.0, 1.0])
@@ -225,10 +236,6 @@ class TestEstimateError:
         stderr = math.sqrt((m44**2 + m55**2 + 2.0 * m45**2) / (2.0 * n))
         assert summary.delta_stderr == pytest.approx(stderr, rel=1e-14)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 8: d = est - x_out cancels two quadratures of size sqrt(v_a) and loses the error",
-    )
     def test_delta_matches_closed_form_at_a_huge_modulation(self):
         cfg = make_config(n0=1e34, v_a=1e34, count=3000, partitions=1)
         summary = run_protocol(cfg)
@@ -351,7 +358,9 @@ class TestDeterminism:
             products = [v.T @ v for k, n_rounds in enumerate(counts) for v in partition_blocks(cfg, k, n_rounds)]
             assert len(products) == chunks
             exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(6)] for i in range(6)]) / count
-            second = sum(_partition_sums(cfg, k, n_rounds, 0, None) for k, n_rounds in enumerate(counts)) / count
+            r = _factor(cfg)
+            sums = (_partition_sums(r, RngStream(28, k), n_rounds, 0, None) for k, n_rounds in enumerate(counts))
+            second = sum(sums) / count
             diag = np.diag(exact)
             assert np.all(np.abs(second - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
             summary = run_protocol(cfg)
@@ -467,8 +476,7 @@ class TestFloorWarning:
 class TestDump:
     def test_header_and_roundtrip_identity(self, tmp_path):
         cfg = make_config(count=500, partitions=1, seed=20)
-        g = RngStream(cfg.master_seed, 0).generator()
-        samples = _chunk(cfg, g, *_chunk_buffers(cfg.count))
+        (samples,) = partition_blocks(cfg, 0, cfg.count)
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
         text = path.read_text().splitlines()
