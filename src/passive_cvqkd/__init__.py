@@ -17,6 +17,7 @@ from .g2 import (
     CalibrationResult,
     G2Result,
     QuadratureRecord,
+    RecordMoments,
     calibrate_photon_number,
     export_histogram,
     g2_estimate,
@@ -61,6 +62,7 @@ __all__ = [
     "ProtocolParams",
     "QuadratureRecord",
     "RecordFormatError",
+    "RecordMoments",
     "RngStream",
     "SimConfig",
     "SimSummary",

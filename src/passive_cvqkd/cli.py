@@ -304,20 +304,19 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]
         if len(names) != 2:
             raise ParameterError(f"--columns needs two names, got {args.columns!r}")
         columns = (names[0], names[1])
+    # One record's samples at a time: the calibration reads only the
+    # vacuum's moments, and g2 and the histogram only the thermal in SNU.
+    vacuum = load_quadrature_records(args.vacuum, columns=columns).moments()
     thermal = load_quadrature_records(args.thermal, columns=columns)
-    vacuum = load_quadrature_records(args.vacuum, columns=columns)
-
-    samples_thermal, samples_vacuum = len(thermal), len(vacuum)
     cal = calibrate_photon_number(thermal, vacuum, det)
-    snu = thermal.in_snu(cal.shot_variance)
-    del thermal, vacuum  # g2 and the histogram need only the SNU copy
+    snu = thermal.in_snu(cal.shot_variance, in_place=True)
     result = g2_estimate(snu, n_boot=n_boot, min_samples=min_samples, rng=s["seed"])
     lines = [
         "command=analyze",
         f"thermal_file={args.thermal}",
         f"vacuum_file={args.vacuum}",
-        f"samples_thermal={samples_thermal}",
-        f"samples_vacuum={samples_vacuum}",
+        f"samples_thermal={len(snu)}",
+        f"samples_vacuum={vacuum.n}",
         f"eta_d={_fmt(det.eta_d)}",
         f"v_el={_fmt(det.v_el)}",
         f"thermal_variance_raw={_fmt(cal.thermal_variance)}",

@@ -28,6 +28,7 @@ __all__ = [
     "CalibrationResult",
     "G2Result",
     "QuadratureRecord",
+    "RecordMoments",
     "UNIT_RAW",
     "UNIT_SNU",
     "calibrate_photon_number",
@@ -42,8 +43,37 @@ UNIT_SNU = "snu"
 DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
-# Rows binned per np.histogram2d call, whose temporaries grow with its rows.
-HISTOGRAM_SLICE_ROWS = 1 << 16
+# Rows per slice wherever a record is read or reduced: the loader's
+# np.loadtxt calls, the variance, Z and the bootstrap resamples, and the
+# np.histogram2d calls.  Their temporaries grow with the rows of a slice,
+# not of the record.
+SLICE_ROWS = 1 << 14
+
+
+def _slices(n: int) -> list[slice]:
+    """Row slices of at most ``SLICE_ROWS`` rows that cover ``range(n)`` in order."""
+    return [slice(start, min(start + SLICE_ROWS, n)) for start in range(0, n, SLICE_ROWS)]
+
+
+@dataclass(frozen=True)
+class RecordMoments:
+    """What the photon-number calibration reads of a record: its length,
+    pooled per-quadrature variance and unit."""
+
+    n: int
+    variance: float
+    unit_flag: str
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ParameterError(f"n must be >= 2, got {self.n}")
+        if not (self.variance >= 0.0 and math.isfinite(self.variance)):
+            raise ParameterError(f"variance must be finite and >= 0, got {self.variance}")
+        if self.unit_flag not in (UNIT_RAW, UNIT_SNU):
+            raise ParameterError(f"unit_flag must be '{UNIT_RAW}' or '{UNIT_SNU}', got {self.unit_flag!r}")
+
+    def moments(self) -> "RecordMoments":
+        return self
 
 
 @dataclass
@@ -69,26 +99,46 @@ class QuadratureRecord:
 
     def pooled_variance(self) -> float:
         """Per-quadrature variance about the mean, x and p pooled; one that
-        overflows is a DegenerateDataError."""
+        overflows is a DegenerateDataError.
+
+        Two passes over row slices of each quadrature, the mean and then
+        the squared deviations, so no record-sized temporary is made.
+        """
+        n = len(self)
+        rows = _slices(n)
+        dev = np.empty(min(n, SLICE_ROWS))
+        s = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            s = float(np.mean(np.var(self.samples, axis=0, ddof=1)))
+            for col in self.samples.T:
+                mean = sum(float(col[part].sum()) for part in rows) / n
+                squares = 0.0
+                for part in rows:
+                    d = np.subtract(col[part], mean, out=dev[: part.stop - part.start])
+                    squares += float(np.square(d, out=d).sum())
+                s += squares / (n - 1)
+        s /= 2.0
         if not math.isfinite(s):
             raise DegenerateDataError("record variance overflows")
         return s
 
-    def in_snu(self, shot_variance: float) -> "QuadratureRecord":
+    def moments(self) -> RecordMoments:
+        return RecordMoments(len(self), self.pooled_variance(), self.unit_flag)
+
+    def in_snu(self, shot_variance: float, *, in_place: bool = False) -> "QuadratureRecord":
         """Rescale a raw record into shot-noise units.
 
         ``shot_variance`` is the raw-unit variance corresponding to one
         SNU, as determined by a vacuum reference.  A record that overflows
-        in shot-noise units is a DegenerateDataError.
+        in shot-noise units is a DegenerateDataError.  With ``in_place``
+        the samples are divided where they are, so no copy is made, and
+        this record must not be used again.
         """
         if self.unit_flag == UNIT_SNU:
             raise UnitError("record is already in shot-noise units")
         if not (shot_variance > 0.0 and math.isfinite(shot_variance)):
             raise ParameterError(f"shot_variance must be > 0, got {shot_variance}")
         with np.errstate(over="ignore"):
-            samples = self.samples / math.sqrt(shot_variance)
+            samples = np.divide(self.samples, math.sqrt(shot_variance), out=self.samples if in_place else None)
         try:
             return replace(self, samples=samples, unit_flag=UNIT_SNU)
         except ParameterError:
@@ -126,7 +176,8 @@ def load_quadrature_records(
             unknown column names, fewer than 2 samples, or text that is
             not UTF-8.
     """
-    samples = _load_plain(path, columns) if _is_plain(path) else None
+    lines = _plain_lines(path)
+    samples = None if lines is None else _load_plain(path, columns, lines)
     if samples is not None:
         try:
             return QuadratureRecord(samples, unit_flag=UNIT_RAW)
@@ -164,38 +215,50 @@ def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, pa
 _SCANNER_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _is_plain(path: str) -> bool:
-    """Whether numpy's tokenizer and the line scanner split ``path`` alike."""
+def _plain_lines(path: str) -> int | None:
+    """An upper bound on the lines of ``path`` if numpy's tokenizer and the
+    line scanner split it alike, else None."""
+    lines = 1
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
             if not chunk.isascii() or any(b in chunk for b in _SCANNER_ONLY):
-                return False
-    return True
+                return None
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                # A \r\n split between two chunks counts twice, which only loosens the bound.
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return lines
 
 
-def _load_plain(path: str, columns: tuple[str, str] | None) -> np.ndarray | None:
+def _load_plain(path: str, columns: tuple[str, str] | None, lines: int) -> np.ndarray | None:
     """The samples of a plain ASCII file by ``np.loadtxt``, or None if it
-    refuses; the record built from them checks that they are finite."""
+    refuses; the record built from them checks that they are finite.
+
+    The rows go a slice at a time into one array of ``lines`` rows, so no
+    growing buffer is copied: the load takes the record plus one slice.
+    """
+    data = np.empty((lines, 2))
+    rows = 0
     with open(path, "r", encoding="utf-8") as fh:
         first = next((line for line in iter(fh.readline, "") if line.strip()), None)
         has_header, idx_x, idx_p = _resolve_columns(first, columns, path)
         if not has_header:
             fh.seek(0)
+        usecols = (idx_x, idx_p) if has_header else None
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
-                data = np.loadtxt(
-                    fh,
-                    delimiter=",",
-                    comments=None,
-                    usecols=(idx_x, idx_p) if has_header else None,
-                    ndmin=2,
-                )
+                while True:
+                    part = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols, ndmin=2, max_rows=SLICE_ROWS)
+                    if len(part) == 0:
+                        break
+                    if part.shape[1] != 2:
+                        return None
+                    data[rows : rows + len(part)] = part
+                    rows += len(part)
         except ValueError:
             return None
-    if data.shape[1] != 2 or len(data) < 2:
-        return None
-    return data
+    return data[:rows] if rows >= 2 else None
 
 
 def _scan(path: str, columns: tuple[str, str] | None) -> np.ndarray:
@@ -262,8 +325,8 @@ class CalibrationResult:
 
 
 def calibrate_photon_number(
-    thermal: QuadratureRecord,
-    vacuum: QuadratureRecord,
+    thermal: QuadratureRecord | RecordMoments,
+    vacuum: QuadratureRecord | RecordMoments,
     det: DetectorModel,
 ) -> CalibrationResult:
     """Mean photon number of a thermal record, normalized to vacuum noise.
@@ -274,6 +337,9 @@ def calibrate_photon_number(
 
         n_hat = (s_th - s_vac) / (sigma^2 * eta_d).
 
+    Either record may be given as its ``RecordMoments``: the calibration
+    reads only the length, the pooled variance and the unit.
+
     Raises:
         UnitError: records are not in the same units.
         DegenerateDataError: thermal variance below the vacuum reference,
@@ -283,8 +349,8 @@ def calibrate_photon_number(
         raise UnitError(
             f"unit mismatch: thermal is {thermal.unit_flag!r}, vacuum is {vacuum.unit_flag!r}"
         )
-    s_th = thermal.pooled_variance()
-    s_vac = vacuum.pooled_variance()
+    thermal, vacuum = thermal.moments(), vacuum.moments()
+    s_th, s_vac = thermal.variance, vacuum.variance
     if s_vac <= 0.0:
         raise DegenerateDataError("vacuum record has zero variance")
     if s_th < s_vac:
@@ -300,7 +366,7 @@ def calibrate_photon_number(
     # Delta method on the two independent pooled variances; each has
     # var(s_hat) = 2 s^2 / dof = s^2 / (n - 1) for Gaussian data (two
     # quadratures pooled), so the relative errors add in quadrature.
-    stderr = k * (s_th / s_vac) * math.sqrt(1.0 / (len(thermal) - 1) + 1.0 / (len(vacuum) - 1))
+    stderr = k * (s_th / s_vac) * math.sqrt(1.0 / (thermal.n - 1) + 1.0 / (vacuum.n - 1))
     if not math.isfinite(stderr):
         raise DegenerateDataError("photon-number estimate overflows")
     return CalibrationResult(
@@ -361,28 +427,43 @@ def g2_estimate(
 
     # Z^2 of a record near the float limits overflows, in the record or in
     # a resample that repeats its largest Z; that is reported, not warned.
-    # One buffer holds Z^2, then each resample in turn.
+    # Z is the one record-length array; Z^2 and each resample are formed a
+    # slice at a time, and their sums add up slice by slice.
+    rows = _slices(n)
+    x, p = record.samples.T
+    z = np.empty(n)
+    buf = np.empty(min(n, SLICE_ROWS))
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.square(record.samples[:, 0])
-        buf = np.square(record.samples[:, 1])
-        z += buf
+        sum_z2 = 0.0
+        for part in rows:
+            zs = np.square(x[part], out=z[part])
+            zs += np.square(p[part], out=buf[: len(zs)])
+            sum_z2 += float(np.square(zs, out=buf[: len(zs)]).sum())
         mean_z = float(z.mean())
-        mean_z2 = float(np.square(z, out=buf).mean())
+        mean_z2 = sum_z2 / n
         if abs(mean_z - 1.0) < DEGENERATE_MEAN_Z_TOL:
             raise DegenerateDataError(
                 f"mean of Z is {mean_z:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
             )
 
+        # Bounded integers come one after another from the generator's
+        # stream, so slice by slice these draws are the indices of one
+        # integers(0, n, n) call.
         g = RngStream(rng).generator()
         boots = []
         for _ in range(n_boot):
-            # The indices are in [0, n), so "clip" never moves one; it only
-            # spares np.take the hidden copy that "raise" makes with out=.
-            zb = np.take(z, g.integers(0, n, n), out=buf, mode="clip")
-            m1 = float(zb.mean())
+            s1 = s2 = 0.0
+            for part in rows:
+                k = part.stop - part.start
+                # The indices are in [0, n), so "clip" never moves one; it only
+                # spares np.take the hidden copy that "raise" makes with out=.
+                zb = np.take(z, g.integers(0, n, k), out=buf[:k], mode="clip")
+                s1 += float(zb.sum())
+                s2 += float(np.square(zb, out=zb).sum())
+            m1 = s1 / n
             if abs(m1 - 1.0) < DEGENERATE_MEAN_Z_TOL:
                 continue
-            boots.append(ratio(m1, float(np.square(zb, out=zb).mean())))
+            boots.append(ratio(m1, s2 / n))
         if len(boots) < 2:
             raise DegenerateDataError(f"only {len(boots)} of {n_boot} bootstrap resamples are usable; at least 2 are needed")
         stderr = float(np.std(boots, ddof=1))
@@ -420,18 +501,17 @@ def export_histogram(
     # Every slice has the same edges, so the summed counts are those of
     # one call over the whole record, without its record-sized temporaries.
     counts = np.zeros((HISTOGRAM_BINS, HISTOGRAM_BINS))
-    for start in range(0, len(record), HISTOGRAM_SLICE_ROWS):
-        part = record.samples[start : start + HISTOGRAM_SLICE_ROWS]
-        c, x_edges, p_edges = np.histogram2d(
-            part[:, 0], part[:, 1], bins=HISTOGRAM_BINS, range=[[-half, half], [-half, half]]
-        )
+    for part in _slices(len(record)):
+        x, p = record.samples[part].T
+        c, x_edges, p_edges = np.histogram2d(x, p, bins=HISTOGRAM_BINS, range=[[-half, half], [-half, half]])
         counts += c
+    counts = counts.astype(np.int64)
     if path is not None:
-        x_centers = 0.5 * (x_edges[:-1] + x_edges[1:])
-        p_centers = 0.5 * (p_edges[:-1] + p_edges[1:])
+        # Each bin center is formatted once, not once per line.
+        x_centers = [f"{c:.9g}," for c in 0.5 * (x_edges[:-1] + x_edges[1:])]
+        p_centers = [f"{c:.9g}," for c in 0.5 * (p_edges[:-1] + p_edges[1:])]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("bin_x,bin_p,count\n")
-            for i, xc in enumerate(x_centers):
-                for j, pc in enumerate(p_centers):
-                    fh.write(f"{xc:.9g},{pc:.9g},{int(counts[i, j])}\n")
-    return counts.astype(np.int64), x_edges, p_edges
+            for xc, row in zip(x_centers, counts.tolist()):
+                fh.write("".join(f"{xc}{pc}{count}\n" for pc, count in zip(p_centers, row)))
+    return counts, x_edges, p_edges

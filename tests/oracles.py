@@ -110,3 +110,16 @@ def displaced_gaussian_g2(displacement_power) -> float:
     mean_z = 2 + lam
     mean_z2 = (2 + lam) ** 2 + 2 * (2 + 2 * lam)
     return float((mean_z2 - 4 * mean_z + 2) / (mean_z - 1) ** 2)
+
+
+def pooled_variance_mp(columns, dps: int = 40) -> mp.mpf:
+    """Per-quadrature sample variance (n - 1 in the denominator), averaged
+    over the columns, by two passes in extended precision: each column's
+    mean, then its squared deviations from that mean."""
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for column in columns:
+            values = [mp.mpf(v) for v in column]
+            mean = mp.fsum(values) / len(values)
+            total += mp.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+        return total / len(columns)

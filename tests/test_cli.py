@@ -565,6 +565,32 @@ class TestAnalyze:
                 tracemalloc.stop()
         assert peak < 3.5 * 16 * count
 
+    def test_analyze_holds_under_two_record_sized_arrays(self, tmp_path):
+        """Peak traced allocation of ``analyze`` with a histogram, on a
+        200k-row thermal and a 200k-row vacuum record: ~1.6 times the 3.2 MB
+        sample array of one record (measured).  The vacuum is reduced to its
+        moments before the thermal loads, the thermal is scaled to
+        shot-noise units in place, and Z is the one other record-length
+        array; loading both records at once, or copying the thermal, adds
+        a record-sized array to that."""
+        count = 200_000
+        g = RngStream(98).generator()
+        argv = ["analyze"]
+        for name, sigma in (("thermal", 3.0), ("vacuum", 1.0)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(f"{x:.6g},{p:.6g}\n" for x, p in (sigma * g.standard_normal((count, 2))).tolist()))
+            argv.append(str(path))
+        argv += ["--histogram", str(tmp_path / "hist.csv"), "--n-boot", "2"]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK  # first-call caches are not the command's
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.75 * 16 * count
+
 
 class TestOptimizeCommand:
     def test_report_fields(self, tmp_path):

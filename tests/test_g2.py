@@ -3,19 +3,21 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import displaced_gaussian_g2
+from oracles import displaced_gaussian_g2, pooled_variance_mp
 from passive_cvqkd import (
     DegenerateDataError,
     DetectorModel,
     ParameterError,
     QuadratureRecord,
     RecordFormatError,
+    RecordMoments,
     RngStream,
     UnitError,
     calibrate_photon_number,
@@ -25,8 +27,9 @@ from passive_cvqkd import (
     load_quadrature_records,
     sample_thermal_quadratures,
 )
+from passive_cvqkd import g2
 from passive_cvqkd.cli import EXIT_DATA, main
-from passive_cvqkd.g2 import HISTOGRAM_BINS, HISTOGRAM_SLICE_ROWS, HISTOGRAM_SPAN_SIGMAS, UNIT_SNU
+from passive_cvqkd.g2 import HISTOGRAM_BINS, HISTOGRAM_SPAN_SIGMAS, SLICE_ROWS, UNIT_SNU
 
 IV_DET = DetectorModel(0.5, 0.35)
 
@@ -133,6 +136,25 @@ class TestLoader:
         with pytest.raises(RecordFormatError, match=r"not UTF-8 text \(byte 9\)"):
             load_quadrature_records(str(path))
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_plain_file_of_several_slices_loads_without_the_line_scanner(self, tmp_path, monkeypatch, end):
+        # The plain path fills one array a slice at a time, sized by a count
+        # of the file's line breaks; a bad row in a later slice still goes to
+        # the line scanner, which names its line in the whole file.
+        rows = RngStream(84).generator().standard_normal((2 * SLICE_ROWS + 5, 2))
+        lines = ["x,p"] + [f"{x!r},{p!r}" for x, p in rows.tolist()]
+        lines.insert(SLICE_ROWS, "")
+        path = tmp_path / "long.csv"
+        path.write_bytes(end.join(lines).encode())
+        with monkeypatch.context() as m:
+            m.setattr(g2, "_scan", None)
+            assert load_quadrature_records(str(path)).samples.tobytes() == rows.tobytes()
+        lines[2 * SLICE_ROWS] = "1.0,oops"
+        path.write_bytes(end.join(lines).encode())
+        with pytest.raises(RecordFormatError) as err:
+            load_quadrature_records(str(path))
+        assert err.value.lines == [2 * SLICE_ROWS + 1]
+
 
 class TestRecord:
     @pytest.mark.parametrize(
@@ -163,6 +185,33 @@ class TestRecord:
         with pytest.raises(ParameterError, match="shot_variance must be > 0"):
             QuadratureRecord(np.ones((2, 2))).in_snu(shot_variance)
 
+    def test_moments_are_the_length_pooled_variance_and_unit(self):
+        record = QuadratureRecord([[1.0, 2.0], [3.0, -2.0], [2.0, 0.0]], UNIT_SNU)
+        moments = record.moments()
+        assert moments == RecordMoments(3, 2.5, UNIT_SNU)  # x has variance 1, p 4
+        assert moments.moments() is moments
+
+    @pytest.mark.parametrize(
+        "n, variance, unit_flag, message",
+        [
+            (1, 1.0, "raw", "n must be >= 2, got 1"),
+            (2, -1.0, "raw", "variance must be finite and >= 0, got -1.0"),
+            (2, math.nan, "raw", "variance must be finite and >= 0, got nan"),
+            (2, 1.0, "volts", "unit_flag must be 'raw' or 'snu', got 'volts'"),
+        ],
+        ids=["one-sample", "negative", "nan", "volts"],
+    )
+    def test_bad_moments_are_rejected(self, n, variance, unit_flag, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            RecordMoments(n, variance, unit_flag)
+
+    def test_rescaling_in_place_gives_the_copy_in_the_same_array(self):
+        samples = RngStream(83).generator().standard_normal((1000, 2))
+        copied = QuadratureRecord(samples.copy()).in_snu(2.5)
+        scaled = QuadratureRecord(samples).in_snu(2.5, in_place=True)
+        assert scaled.samples is samples and scaled.unit_flag == UNIT_SNU
+        assert samples.tobytes() == copied.samples.tobytes()
+
     def test_load_and_rescale_scan_each_array_once(self, tmp_path, monkeypatch):
         # The record's own finiteness check is the only pass over a loaded
         # array and over its copy in shot-noise units.
@@ -175,6 +224,25 @@ class TestRecord:
         assert shapes.count((1000, 2)) == 2
 
 
+# The oracle takes ~0.3 s per 16384 rows, so the examples are few.
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(
+    rows=st.sampled_from([2, SLICE_ROWS - 1, SLICE_ROWS, 2 * SLICE_ROWS + 123]),
+    offsets=st.tuples(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8)),
+    log_scale=st.floats(-150.0, 150.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=2 * SLICE_ROWS + 123, offsets=(1e8, -1e8), log_scale=150.0, seed=0)
+@example(rows=SLICE_ROWS, offsets=(-1e8, 0.0), log_scale=-150.0, seed=1)
+def test_pooled_variance_matches_the_two_pass_oracle(rows, offsets, log_scale, seed):
+    # Offsets of up to 1e8 standard deviations: a mean that is off by a
+    # relative 1e-16 moves each deviation by ~1e-8 of its own size.
+    z = RngStream(seed).generator().standard_normal((rows, 2))
+    record = QuadratureRecord(10.0**log_scale * (z + offsets))
+    want = pooled_variance_mp(record.samples.T.tolist())
+    assert abs(record.pooled_variance() - want) <= 1e-13 * want
+
+
 def plus_minus(value):
     """A two-row record of ``±value`` in x and 0 in p."""
     return QuadratureRecord([[value, 0.0], [-value, 0.0]])
@@ -184,14 +252,16 @@ def plus_minus(value):
     "call, message",
     [
         (lambda: plus_minus(1e300).pooled_variance(), "record variance overflows"),
+        (lambda: plus_minus(1e300).moments(), "record variance overflows"),
         (
             lambda: calibrate_photon_number(plus_minus(1e150), plus_minus(1e-150), IV_DET),
             "photon-number estimate overflows",
         ),
         (lambda: g2_estimate(plus_minus(1e100).in_snu(1.0), n_boot=2, min_samples=2), "g2 overflows"),
         (lambda: plus_minus(1e300).in_snu(1e-300), "record overflows in shot-noise units"),
+        (lambda: plus_minus(1e300).in_snu(1e-300, in_place=True), "record overflows in shot-noise units"),
     ],
-    ids=["variance", "photon-number", "g2", "in-snu"],
+    ids=["variance", "moments", "photon-number", "g2", "in-snu", "in-snu-in-place"],
 )
 def test_overflow_is_degenerate_data(call, message):
     # A numpy RuntimeWarning fails the test, so none may be raised on the way.
@@ -307,10 +377,24 @@ def test_loader_agrees_with_the_documented_format(case):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def calibrate_each_form(thermal, vacuum, det):
+    """``calibrate_photon_number`` of two records, after checking that the
+    calibration with the vacuum's ``RecordMoments``, and with both records'
+    ones, gives the same result bit for bit or the same error and message."""
+    outcomes = []
+    for th, va in ((thermal, vacuum), (thermal, vacuum.moments()), (thermal.moments(), vacuum.moments())):
+        try:
+            outcomes.append(repr(calibrate_photon_number(th, va, det)))
+        except (UnitError, DegenerateDataError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes == outcomes[:1] * 3
+    return calibrate_photon_number(thermal, vacuum, det)
+
+
 class TestCalibration:
     def test_vacuum_against_itself_gives_zero_photons(self):
         _, vacuum = synthetic_records(800.0, IV_DET, 200_000, seed=60)
-        cal = calibrate_photon_number(vacuum, vacuum, IV_DET)
+        cal = calibrate_each_form(vacuum, vacuum, IV_DET)
         assert cal.n_hat == 0.0
 
     def test_independent_vacuum_pair_is_consistent_with_zero(self):
@@ -324,40 +408,40 @@ class TestCalibration:
             )
         )
         try:
-            cal = calibrate_photon_number(other, vacuum, IV_DET)
+            cal = calibrate_each_form(other, vacuum, IV_DET)
         except DegenerateDataError:
             return
         assert abs(cal.n_hat) < 5.0 * cal.stderr
 
     def test_bright_source_recovered_within_two_percent(self):
         thermal, vacuum = synthetic_records(800.0, IV_DET, 1_000_000, seed=62, scale=2.5)
-        cal = calibrate_photon_number(thermal, vacuum, IV_DET)
+        cal = calibrate_each_form(thermal, vacuum, IV_DET)
         assert abs(cal.n_hat - 800.0) / 800.0 < 0.02
         assert cal.stderr > 0.0
         assert cal.shot_variance == pytest.approx(2.5**2, rel=0.01)
 
     def test_dim_source_recovered_within_five_percent(self):
         thermal, vacuum = synthetic_records(15.0, IV_DET, 1_000_000, seed=63, scale=0.3)
-        cal = calibrate_photon_number(thermal, vacuum, IV_DET)
+        cal = calibrate_each_form(thermal, vacuum, IV_DET)
         assert abs(cal.n_hat - 15.0) / 15.0 < 0.05
 
     def test_thermal_below_vacuum_is_rejected(self):
         thermal, vacuum = synthetic_records(5.0, IV_DET, 50_000, seed=64)
         with pytest.raises(DegenerateDataError):
-            calibrate_photon_number(vacuum, thermal, IV_DET)
+            calibrate_each_form(vacuum, thermal, IV_DET)
 
     def test_unit_mismatch_is_rejected(self):
         thermal, vacuum = synthetic_records(5.0, IV_DET, 10_000, seed=65)
         snu = thermal.in_snu(1.0)
         with pytest.raises(UnitError):
-            calibrate_photon_number(snu, vacuum, IV_DET)
+            calibrate_each_form(snu, vacuum, IV_DET)
 
     def test_shot_noise_scale_underflow_names_v_el(self, tmp_path, capsys):
         # s_vac / (1 + v_el) underflows to 0: the data cannot be calibrated
         # at this v_el, and no shot_variance was ever set by the caller.
         vacuum = np.random.default_rng(68).normal(0.0, 1e-10, (20_000, 2))
         with pytest.raises(DegenerateDataError, match="underflows to 0 at v_el = 1e"):
-            calibrate_photon_number(QuadratureRecord(vacuum), QuadratureRecord(vacuum), DetectorModel(1.0, 1e308))
+            calibrate_each_form(QuadratureRecord(vacuum), QuadratureRecord(vacuum), DetectorModel(1.0, 1e308))
         path = tmp_path / "va.csv"
         np.savetxt(path, vacuum, delimiter=",")
         assert main(["analyze", str(path), str(path), "--v-el", "1e308", "--eta-d", "1"]) == EXIT_DATA
@@ -368,7 +452,7 @@ class TestCalibration:
         # Records synthesized at the calibrated photon number reproduce
         # the measured thermal variance.
         thermal, vacuum = synthetic_records(120.0, IV_DET, 500_000, seed=66, scale=1.7)
-        cal = calibrate_photon_number(thermal, vacuum, IV_DET)
+        cal = calibrate_each_form(thermal, vacuum, IV_DET)
         regenerated, _ = synthetic_records(cal.n_hat, IV_DET, 500_000, seed=67, scale=1.7)
         s_th = thermal.pooled_variance()
         s_re = regenerated.pooled_variance()
@@ -442,26 +526,48 @@ class TestG2:
         assert a.stderr == b.stderr
 
     def test_bootstrap_matches_a_reference_resampling_bit_for_bit(self):
-        # The estimator reuses one buffer for every resample; the reference
-        # gathers and squares fresh arrays, resample by resample.
+        # The estimator draws each resample's indices slice by slice into one
+        # reused buffer; the reference draws them in one call per resample and
+        # gathers and squares fresh arrays.  Both add up slice sums in order.
         samples = 1.5 * RngStream(81).generator().standard_normal((30_000, 2))
         n, n_boot, seed = len(samples), 50, 13
+        assert SLICE_ROWS < n < 2 * SLICE_ROWS
         result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), n_boot=n_boot, rng=seed)
 
         def ratio(m1, m2):
             return (m2 - 4.0 * m1 + 2.0) / ((m1 - 1.0) * (m1 - 1.0))
+
+        def sliced_sum(values):
+            return sum(float(values[start : start + SLICE_ROWS].sum()) for start in range(0, n, SLICE_ROWS))
 
         z = np.square(samples).sum(axis=1)
         g = RngStream(seed).generator()
         boots = []
         for _ in range(n_boot):
             zb = z[g.integers(0, n, n)]
-            boots.append(ratio(float(zb.mean()), float(np.square(zb).mean())))
+            boots.append(ratio(sliced_sum(zb) / n, sliced_sum(np.square(zb)) / n))
         assert result.resamples == n_boot
         assert result.stderr == float(np.std(boots, ddof=1))
         assert result.mean_z == float(z.mean())
-        assert result.mean_z2 == float(np.square(z).mean())
+        assert result.mean_z2 == sliced_sum(np.square(z)) / n
         assert result.g2 == ratio(result.mean_z, result.mean_z2)
+
+    def test_traced_peak_does_not_grow_with_the_resamples(self):
+        # Z is the one record-length array: each resample is drawn, gathered
+        # and summed a slice at a time in reused buffers.
+        n = 200_000
+        record = QuadratureRecord(RngStream(82).generator().standard_normal((n, 2)), UNIT_SNU)
+        g2_estimate(record, n_boot=2)  # first-call caches are not the estimator's
+        peaks = []
+        for n_boot in (2, 50):
+            tracemalloc.start()
+            try:
+                g2_estimate(record, n_boot=n_boot)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
+        assert peaks[0] < 8 * n + 32 * SLICE_ROWS + 100_000
 
     def test_bootstrap_stderr_scales_as_inverse_root_count(self):
         g = RngStream(79).generator()
@@ -512,8 +618,8 @@ class TestHistogram:
         "rows",
         [
             pytest.param(1_000, id="shorter-than-a-slice"),
-            pytest.param(HISTOGRAM_SLICE_ROWS, id="one-slice"),
-            pytest.param(2 * HISTOGRAM_SLICE_ROWS + 123, id="not-a-multiple-of-the-slice"),
+            pytest.param(SLICE_ROWS, id="one-slice"),
+            pytest.param(2 * SLICE_ROWS + 123, id="not-a-multiple-of-the-slice"),
         ],
     )
     def test_sliced_counts_equal_one_whole_record_histogram(self, rows):
