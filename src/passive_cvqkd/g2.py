@@ -44,9 +44,9 @@ DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
 # Rows per slice wherever a record is read or reduced: the loader's
-# np.loadtxt calls, the variance, Z and the bootstrap resamples, and the
-# np.histogram2d calls.  Their temporaries grow with the rows of a slice,
-# not of the record.
+# np.loadtxt calls, the finiteness check, the variance, Z and the bootstrap
+# resamples, and the np.histogram2d calls.  Their temporaries grow with the
+# rows of a slice, not of the record.
 SLICE_ROWS = 1 << 14
 
 
@@ -89,7 +89,7 @@ class QuadratureRecord:
             raise ParameterError(f"samples must have shape (n, 2), got {self.samples.shape}")
         if len(self.samples) < 2:
             raise RecordFormatError(f"need at least 2 samples, got {len(self.samples)}")
-        if not np.isfinite(self.samples).all():
+        if not all(np.isfinite(self.samples[part]).all() for part in _slices(len(self.samples))):
             raise ParameterError("samples contain NaN or Inf values")
         if self.unit_flag not in (UNIT_RAW, UNIT_SNU):
             raise ParameterError(f"unit_flag must be '{UNIT_RAW}' or '{UNIT_SNU}', got {self.unit_flag!r}")

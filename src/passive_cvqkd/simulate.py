@@ -4,12 +4,15 @@ One round draws a thermal source state, splits it, attenuates the
 outgoing arm, measures the retained arm with Alice's noisy receiver and
 rescales the outcome into an estimate of the outgoing quadratures, then
 applies the lossy noisy channel and Bob's receiver.  The chain is
-linear, so a round is drawn as six standard normals through one fixed
-factor of its map, which has the chain's law exactly.  The empirical
-second moments of ``(x_A, p_A, x_B, p_B)`` must reproduce the
-closed-form noise budget; the outgoing quadrature is additionally
-tracked as simulation-only ground truth, so every run also estimates
-the preparation noise directly.
+linear, so its rows are standard normals through one fixed factor of its
+map, which has the chain's law exactly.  A round draws four normals;
+the two that only the estimate error ``d`` reads enter the summary
+through sums alone, and those sums are drawn once per partition from
+their exact law given the drawn normals.  The empirical second moments
+of ``(x_A, p_A, x_B, p_B)`` must reproduce the closed-form noise budget;
+the outgoing quadrature is additionally tracked as simulation-only
+ground truth, so every run also estimates the preparation noise
+directly.
 
 Rounds are independent, so the run is partitioned into independent
 random streams and merged by summing sufficient statistics; the result
@@ -45,8 +48,8 @@ DUMP_HEADER = "round,xA,pA,xB,pB"
 
 # Rounds are processed in fixed-size chunks so that draws, and therefore
 # results, do not depend on how partitions are scheduled.  A chunk's arrays,
-# its six normals and six-column rows (384 KiB), stay in L2 cache; its dump
-# rows are one write.
+# its four normals a round (128 KiB) and, with a dump, its four-column rows
+# (another 128 KiB), stay in L2 cache; its dump rows are one write.
 _CHUNK = 1 << 12
 
 
@@ -151,27 +154,83 @@ def _factor(cfg: SimConfig) -> np.ndarray:
     return r
 
 
-def _chunk(r: np.ndarray, g: np.random.Generator, bufs: np.ndarray, m: int) -> np.ndarray:
-    """Draw ``m`` rounds through ``r``; returns their rows
-    ``(x_A, p_A, x_B, p_B, d_x, d_p)`` as an (m, 6) view of ``bufs[1]``.
+def _chunk(
+    r: np.ndarray, g: np.random.Generator, bufs: np.ndarray, m: int, rows: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Draw ``m`` rounds' normals; returns them as the (4, m) view
+    ``U = (z0_x, z1_x, z0_p, z1_p)`` of ``bufs[0]`` and, with ``rows``,
+    their rows ``(x_A, p_A, x_B, p_B) = (R00 z0, R01 z0 + R11 z1)``
+    through ``r`` as an (m, 4) view of ``bufs[1]``, else None.
 
-    ``bufs`` is a pair of flat arrays of at least ``6 m`` doubles; the
-    normals fill the first as six blocks of ``m``.  The rows are formed
-    with numpy's exactly rounded multiply and add, not BLAS, so they do
-    not depend on a BLAS build.
+    ``bufs`` holds flat arrays of at least ``4 m`` doubles.  The rows are
+    formed with numpy's exactly rounded multiply and add, not BLAS, so they
+    do not depend on a BLAS build.
     """
-    z, block = (buf[: 6 * m].reshape(6, m) for buf in bufs)
-    g.standard_normal(out=z)
+    u = bufs[0][: 4 * m].reshape(4, m)
+    g.standard_normal(out=u)
+    if not rows:
+        return u, None
+    block = bufs[1][: 4 * m].reshape(4, m)
     for k in (0, 1):  # x, then p
-        z0, z1, z2 = z[3 * k : 3 * k + 3]
-        est, b, d = block[k::2]
-        np.multiply(z2, r[2, 2], out=d)
-        d += np.multiply(z1, r[1, 2], out=z2)  # z2 is scratch from here
-        d += np.multiply(z0, r[0, 2], out=z2)
-        np.multiply(z1, r[1, 1], out=b)
-        b += np.multiply(z0, r[0, 1], out=z2)
+        z0, z1 = u[2 * k : 2 * k + 2]
+        est, b = block[k::2]
+        np.multiply(z1, r[1, 1], out=est)  # est is scratch until its own product
+        np.multiply(z0, r[0, 1], out=b)
+        b += est
         np.multiply(z0, r[0, 0], out=est)
-    return block.T
+    return u, block.T
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a positive-definite matrix, column by
+    column, without LAPACK or BLAS."""
+    low = np.zeros_like(a)
+    for j in range(len(a)):
+        low[j, j] = math.sqrt(a[j, j] - (low[j, :j] ** 2).sum())
+        low[j + 1 :, j] = (a[j + 1 :, j] - (low[j + 1 :, :j] * low[j, :j]).sum(axis=1)) / low[j, j]
+    return low
+
+
+def _normal_gram(gram: np.ndarray, u: np.ndarray, n: int, g: np.random.Generator) -> np.ndarray:
+    """The 6x6 Gram matrix ``W`` of a partition's ``n`` rounds of normals
+    ``(z0_x, z1_x, z0_p, z1_p, z2_x, z2_p)``, given ``gram = G = U U.T``
+    of the first four; ``d``'s own normals ``Z = (z2_x, z2_p)`` are drawn
+    here from ``g``, only through their sums.
+
+    ``Z`` is independent of ``U``, so given ``U`` the law is exact:
+    ``U Z.T = L N`` and ``Z Z.T = N.T N + T T.T``, with ``L`` the lower
+    Cholesky factor of ``G``, ``N`` 4x2 standard normal, and ``T`` the
+    Bartlett factor of a Wishart_2(n - 4, I) (``T00^2 ~ chi2(n - 4)``,
+    ``T11^2 ~ chi2(n - 5)``, ``T10 ~ N(0, 1)``): ``N.T N`` is the Gram
+    matrix of ``Z``'s part in ``U``'s row space, ``T T.T`` that of the
+    rest, and the two are independent.  ``T`` needs ``n >= 6``;
+    a smaller partition has one chunk, so ``u`` is all of ``U``, and its
+    ``Z`` is drawn round by round.
+
+    These small products go through ``np.einsum``'s own loops, not BLAS,
+    whose further kernels would cost each partition's process ~0.3 MB of
+    mapped text.
+    """
+    if n < 6:
+        z = g.standard_normal((2, n))
+        cross, hidden = np.einsum("ik,jk->ij", u, z), np.einsum("ik,jk->ij", z, z)
+    else:
+        normals = g.standard_normal((4, 2))
+        t = np.zeros((2, 2))
+        t[1, 0] = g.standard_normal()
+        t[0, 0], t[1, 1] = np.sqrt(g.chisquare([n - 4, n - 5]))
+        cross = np.einsum("ik,kj->ij", _cholesky(gram), normals)
+        hidden = np.einsum("ki,kj->ij", normals, normals) + np.einsum("ik,jk->ij", t, t)
+    return np.block([[gram, cross], [cross.T, hidden]])
+
+
+def _block_map(r: np.ndarray) -> np.ndarray:
+    """The 6x6 map of ``(z0_x, z1_x, z0_p, z1_p, z2_x, z2_p)`` onto the
+    rows ``(x_A, p_A, x_B, p_B, d_x, d_p)``: ``r.T`` once per quadrature."""
+    k = np.zeros((6, 6))
+    for q in (0, 1):  # x, then p
+        k[np.ix_([q, 2 + q, 4 + q], [2 * q, 2 * q + 1, 4 + q])] = r.T
+    return k
 
 
 def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
@@ -183,26 +242,35 @@ def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
 
 def _partition_sums(r: np.ndarray, stream: RngStream, n_rounds: int, first_row: int, part_path: str | None):
     """Run one partition of ``n_rounds`` rounds drawn from ``stream``
-    through ``r``; returns the 6x6 sum of ``v.T @ v`` over its
-    chunks, ``v`` being a chunk's block of rows.  Plain summation
+    through ``r``; returns the 6x6 sum of ``v.T @ v`` over its rounds'
+    rows ``v = (x_A, p_A, x_B, p_B, d_x, d_p)``, as ``K W K.T`` with
+    ``K = _block_map(r)``.
+
+    A round draws the four normals ``U``.  Only ``d`` reads the other two,
+    and the summary reads ``d`` only through sums, so ``_normal_gram``
+    draws those sums from their exact law once, after the last chunk.  It
+    is given ``G = U U.T``, summed over the chunks; plain summation
     suffices: a partition of 1e6 rounds adds 245 chunk products.
 
-    With ``part_path`` the partition's rounds are also written there as
-    dump rows numbered from ``first_row``, one chunk at a time.
+    With ``part_path`` the partition's rows ``(x_A, p_A, x_B, p_B)`` are
+    also formed and written there as dump rows numbered from
+    ``first_row``, one chunk at a time.
     """
     g = stream.generator()
-    gram = np.zeros((6, 6))
-    # One pair of chunk arrays, the normals and their rows, serves every chunk.
-    bufs = np.empty((2, 6 * min(_CHUNK, n_rounds)))
+    gram = np.zeros((4, 4))
+    # One chunk array of normals, and with a dump one of rows, serves every chunk.
+    bufs = np.empty((2 if part_path else 1, 4 * min(_CHUNK, n_rounds)))
     dump = open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext()
     # A non-finite value is reported by run_protocol's moment check, not as a warning.
     with dump as fh, np.errstate(over="ignore", invalid="ignore"):
         for done in range(0, n_rounds, _CHUNK):
-            v = _chunk(r, g, bufs, min(_CHUNK, n_rounds - done))
-            gram += v.T @ v
+            u, rows = _chunk(r, g, bufs, min(_CHUNK, n_rounds - done), fh is not None)
+            gram += u @ u.T
             if fh is not None:
-                _write_rows(fh, v[:, :4], first_row + done)
-    return gram
+                _write_rows(fh, rows, first_row + done)
+        k = _block_map(r)
+        sums = np.einsum("ia,ab,jb->ij", k, _normal_gram(gram, u, n_rounds, g), k)
+        return (sums + sums.T) / 2.0  # exactly symmetric, as a Gram matrix is
 
 
 def _usable_cpus() -> int:

@@ -212,6 +212,22 @@ class TestRecord:
         assert scaled.samples is samples and scaled.unit_flag == UNIT_SNU
         assert samples.tobytes() == copied.samples.tobytes()
 
+    def test_finiteness_check_allocates_no_more_than_a_slice(self):
+        # A whole-array check of a 200k-row record would make a 0.40 MB
+        # boolean temporary; a slice's takes 2 * SLICE_ROWS bytes.
+        samples = np.ones((200_000, 2))
+        QuadratureRecord(samples)  # pays the first call's one-time costs
+        tracemalloc.start()
+        try:
+            QuadratureRecord(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (2 * SLICE_ROWS)
+        samples[-1, 1] = math.nan  # in the last, short slice
+        with pytest.raises(ParameterError, match="samples contain NaN or Inf values"):
+            QuadratureRecord(samples)
+
     def test_load_and_rescale_scan_each_array_once(self, tmp_path, monkeypatch):
         # The record's own finiteness check is the only pass over a loaded
         # array and over its copy in shot-noise units.

@@ -4,6 +4,8 @@ import linecache
 import math
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -29,7 +31,7 @@ from passive_cvqkd import (
     run_protocol,
     total_noise,
 )
-from passive_cvqkd import cli
+from passive_cvqkd import cli, simulate
 from passive_cvqkd.cli import EXIT_CONFIG, EXIT_IO, main
 from passive_cvqkd.keyrate import mutual_information
 from passive_cvqkd.simulate import (
@@ -37,6 +39,7 @@ from passive_cvqkd.simulate import (
     _chunk,
     _coefficients,
     _factor,
+    _normal_gram,
     _partition_sums,
     _usable_cpus,
     analytic_moments,
@@ -93,18 +96,28 @@ DETECTORS = st.builds(DetectorModel, st.floats(1e-6, 1.0), st.floats(0.0, 10.0))
 
 
 def partition_blocks(cfg, index, n_rounds):
-    """Copies of one partition's chunk blocks, drawn from one generator
-    in the order ``_partition_sums`` draws them."""
+    """Copies of one partition's chunk blocks of rows, drawn from one
+    generator in the order ``_partition_sums`` draws them."""
     r, g = _factor(cfg), RngStream(cfg.master_seed, index).generator()
-    bufs = np.empty((2, 6 * min(_CHUNK, n_rounds)))
+    bufs = np.empty((2, 4 * min(_CHUNK, n_rounds)))
     for done in range(0, n_rounds, _CHUNK):
-        yield _chunk(r, g, bufs, min(_CHUNK, n_rounds - done)).copy()
+        yield _chunk(r, g, bufs, min(_CHUNK, n_rounds - done), True)[1].copy()
 
 
-# Traced peaks of a one-partition run of 4 chunks: 1.78 MB with the dump
-# and 0.40 MB without it (Python 3.11, numpy 2.4), of which the chunk's
-# normals and rows take 0.39 MB.  The bounds sit ~1.5x and ~1.9x above
-# them; at 2^17-round chunks those two arrays alone would take 12.6 MB.
+def partition_normals(g, n_rounds):
+    """Copies of one partition's chunk blocks of normals ``U``, drawn from
+    ``g`` in the order ``_partition_sums`` draws them; ``g`` is left where
+    the partition draws ``d``'s sums."""
+    bufs = np.empty((1, 4 * min(_CHUNK, n_rounds)))
+    for done in range(0, n_rounds, _CHUNK):
+        yield _chunk(None, g, bufs, min(_CHUNK, n_rounds - done), False)[0].copy()
+
+
+# Traced peaks of a one-partition run of 4 chunks: 1.64 MB with the dump
+# and 0.14 MB without it (Python 3.11, numpy 2.4), of which the chunk's
+# normals take 0.13 MB, and its rows, formed only for the dump, another
+# 0.13 MB.  The bounds sit ~1.7x and ~5x above them; at 2^17-round chunks
+# those two arrays alone would take 8.4 MB.
 DUMP_PEAK_BOUND = 2_750_000
 PEAK_BOUND = 750_000
 
@@ -149,17 +162,17 @@ class TestChunk:
 
     def test_rows_are_the_streams_normals_through_the_factor(self, tmp_path):
         # A full chunk, then a shorter tail that reuses the same arrays.  A
-        # chunk of m rounds draws six blocks of m normals, three for x and
-        # three for p; est and B are exactly rounded products and sums.
+        # chunk of m rounds draws four blocks of m normals, two for x and
+        # two for p; est and B are exactly rounded products and sums.
         cfg = make_config(count=_CHUNK + 1000, partitions=1)
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
         r, g = _factor(cfg), RngStream(cfg.master_seed, 0).generator()
         rows = []
         for m in (_CHUNK, 1000):
-            z = g.standard_normal((6, m))
-            est = r[0, 0] * z[[0, 3]]
-            b = r[0, 1] * z[[0, 3]] + r[1, 1] * z[[1, 4]]
+            z = g.standard_normal((4, m))
+            est = r[0, 0] * z[[0, 2]]
+            b = r[0, 1] * z[[0, 2]] + r[1, 1] * z[[1, 3]]
             rows.append(np.concatenate([est, b]).T)
         dumped = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(dumped[:, 0], np.arange(cfg.count))
@@ -204,6 +217,39 @@ class TestChunk:
                 run_protocol(cfg)
 
 
+def assert_mean(samples, expected):
+    """Each entry's sample mean over ``samples``' first axis lies within
+    5 of its standard errors of ``expected``."""
+    stderr = samples.std(axis=0) / math.sqrt(len(samples))
+    assert np.all(np.abs(samples.mean(axis=0) - expected) <= 5.0 * stderr)
+
+
+class TestNormalGram:
+    """``d``'s normals ``Z``, drawn once per partition through their sums,
+    have the exact law of ``n`` rounds' draws given the four drawn blocks
+    ``U``: both branches, the round-by-round one below 6 rounds and
+    Bartlett's from 6 on, at a fixed ``U`` and fixed seeds."""
+
+    DRAWS = 3000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, _CHUNK])
+    def test_sums_have_their_law_given_the_drawn_normals(self, n):
+        u = RngStream(32, n).generator().standard_normal((4, n))
+        gram = u @ u.T
+        g = RngStream(33, n).generator()
+        w = np.array([_normal_gram(gram, u, n, g) for _ in range(self.DRAWS)])
+        assert np.array_equal(w, w.transpose(0, 2, 1))
+        assert (w[:, :4, :4] == gram).all()
+        # U Z.T: mean 0 and covariance G (x) I, entry (i, c) at 2 i + c.
+        cross = w[:, :4, 4:].reshape(self.DRAWS, 8)
+        assert_mean(cross, 0.0)
+        assert_mean((cross[:, :, None] * cross[:, None, :]).reshape(self.DRAWS, 64), np.kron(gram, np.eye(2)).ravel())
+        # Z Z.T: mean n I, variances 2n on the diagonal and n off it.
+        hidden = (w[:, 4:, 4:] - n * np.eye(2)).reshape(self.DRAWS, 4)
+        assert_mean(hidden, 0.0)
+        assert_mean(hidden**2, [2 * n, n, n, 2 * n])
+
+
 class TestEstimateError:
     def test_delta_matches_closed_form_at_threshold(self):
         cfg = make_config(n0=340.0, v_a=1.0)
@@ -226,11 +272,20 @@ class TestEstimateError:
 
     def test_delta_follows_the_gaussian_rule_on_the_chunk_rows(self):
         # One partition over its chunks: the summary must equal the stated
-        # formulas, evaluated with exactly rounded sums of the d columns.
+        # formulas, evaluated with exactly rounded sums of the d columns'
+        # moments, which are r's d column through the normals' Gram matrix:
+        # G of the drawn blocks, then d's sums from the same stream.
         cfg = make_config(count=5000, partitions=1, seed=9)
-        n = cfg.count
-        rows = np.concatenate(list(partition_blocks(cfg, 0, n)))
-        m44, m55, m45 = (math.fsum(rows[:, i] * rows[:, j]) / n for i, j in ((4, 4), (5, 5), (4, 5)))
+        n, r = cfg.count, _factor(cfg)
+        g = RngStream(cfg.master_seed, 0).generator()
+        u = np.concatenate(list(partition_normals(g, n)), axis=1)
+        w = _normal_gram(np.array([[math.fsum(a * b) for b in u] for a in u]), u, n, g)
+        d = {4: [0, 1, 4], 5: [2, 3, 5]}  # the normals of d_x and of d_p
+
+        def moment(i, j):
+            return math.fsum(r[a, 2] * r[b, 2] * w[d[i][a], d[j][b]] for a in range(3) for b in range(3)) / n
+
+        m44, m55, m45 = moment(4, 4), moment(5, 5), moment(4, 5)
         summary = run_protocol(cfg)
         assert summary.delta_hat == pytest.approx((m44 + m55) / 2.0, rel=1e-14)
         stderr = math.sqrt((m44**2 + m55**2 + 2.0 * m45**2) / (2.0 * n))
@@ -347,22 +402,34 @@ class TestDeterminism:
         b = run_protocol(make_config(count=40_000, partitions=2, seed=19))
         assert not np.array_equal(a.moments, b.moments)
 
-    def test_plain_summation_matches_exact_sums(self):
+    def test_plain_summation_matches_exact_sums(self, monkeypatch):
         # Several chunks per partition and a merge of two partitions, then
-        # one 1e6-round partition of 245 chunks: the 6x6 moment matrix must
-        # agree with an exactly rounded sum of the same chunk products far
-        # below its statistical error, and the summary must be read from it.
+        # one 1e6-round partition of 245 chunks: each partition's Gram matrix
+        # G of its normals must agree with an exactly rounded sum of the same
+        # chunk products far below its statistical error, and the summary
+        # must be read from the partitions' sums.
+        grams, normal_gram = [], simulate._normal_gram
+
+        def recorded(gram, *args):
+            grams.append(gram.copy())
+            return normal_gram(gram, *args)
+
+        monkeypatch.setattr(simulate, "_normal_gram", recorded)
         for count, partitions, chunks in ((5 * _CHUNK + 17, 2, 6), (1_000_000, 1, 245)):
             cfg = make_config(count=count, partitions=partitions, seed=28)
             counts = [count // partitions + (k < count % partitions) for k in range(partitions)]
-            products = [v.T @ v for k, n_rounds in enumerate(counts) for v in partition_blocks(cfg, k, n_rounds)]
-            assert len(products) == chunks
-            exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(6)] for i in range(6)]) / count
             r = _factor(cfg)
+            grams.clear()
             sums = (_partition_sums(r, RngStream(28, k), n_rounds, 0, None) for k, n_rounds in enumerate(counts))
             second = sum(sums) / count
-            diag = np.diag(exact)
-            assert np.all(np.abs(second - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
+            total = 0
+            for k, n_rounds in enumerate(counts):
+                products = [u @ u.T for u in partition_normals(RngStream(28, k).generator(), n_rounds)]
+                total += len(products)
+                exact = np.array([[math.fsum(p[i, j] for p in products) for j in range(4)] for i in range(4)])
+                diag = np.diag(exact)
+                assert np.all(np.abs(grams[k] - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
+            assert total == chunks
             summary = run_protocol(cfg)
             assert np.array_equal(summary.moments, second[:4, :4])
             assert summary.delta_hat == (second[4, 4] + second[5, 5]) / 2.0
@@ -537,6 +604,41 @@ class TestDump:
         assert main(argv) == EXIT_IO
         assert str(target) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+    def test_report_does_not_depend_on_the_dump(self, tmp_path, capsys, workers):
+        # Rows are formed only for the dump and draw nothing, so the report
+        # and the summary are the same with and without one.
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "20000", "--partitions", "3"]
+        argv += ["--workers", str(workers)]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--dump", str(tmp_path / "cli.csv")]) == 0
+        assert capsys.readouterr().out == plain
+        cfg = make_config(count=20_000, partitions=3, seed=34)
+        a = run_protocol(cfg, workers=workers)
+        b = run_protocol(cfg, dump_path=str(tmp_path / "lib.csv"), workers=workers)
+        assert a.count == b.count and a.delta_hat == b.delta_hat and a.delta_stderr == b.delta_stderr
+        assert np.array_equal(a.moments, b.moments) and np.array_equal(a.moment_stderr, b.moment_stderr)
+
+    def test_pooled_parent_never_imports_numpy_random(self, tmp_path):
+        # The first use of numpy.random costs a process ~6 MB of RSS.  A pooled
+        # run's parent only forks, merges and copies the parts, so every draw
+        # stays in the partitions.  Two usable CPUs are claimed, so a pool is
+        # started on any machine.
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "20000", "--partitions", "4"]
+        argv += ["--workers", "2", "--dump", str(tmp_path / "r.csv")]
+        code = (
+            "import sys\n"
+            "from passive_cvqkd import cli, simulate\n"
+            "simulate._usable_cpus = lambda: 2\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stderr == "False\n"
 
     def test_dump_is_deterministic(self, tmp_path):
         cfg = make_config(count=200, partitions=2, seed=21)
