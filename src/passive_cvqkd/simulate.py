@@ -5,14 +5,15 @@ outgoing arm, measures the retained arm with Alice's noisy receiver and
 rescales the outcome into an estimate of the outgoing quadratures, then
 applies the lossy noisy channel and Bob's receiver.  The chain is
 linear, so its rows are standard normals through one fixed factor of its
-map, which has the chain's law exactly.  A round draws four normals;
-the two that only the estimate error ``d`` reads enter the summary
-through sums alone, and those sums are drawn once per partition from
-their exact law given the drawn normals.  The empirical second moments
-of ``(x_A, p_A, x_B, p_B)`` must reproduce the closed-form noise budget;
-the outgoing quadrature is additionally tracked as simulation-only
-ground truth, so every run also estimates the preparation noise
-directly.
+map, which has the chain's law exactly, and every reported moment is
+that factor applied to the Gram matrix of a partition's normals.  That
+Gram matrix is drawn once per partition from its exact (Wishart) law,
+so a run without a dump costs the same at any round count; a dump draws
+the rows' normals afterwards and maps them onto the same Gram matrix.
+The empirical second moments of ``(x_A, p_A, x_B, p_B)`` must reproduce
+the closed-form noise budget; the outgoing quadrature is additionally
+tracked as simulation-only ground truth, so every run also estimates the
+preparation noise directly.
 
 Rounds are independent, so the run is partitioned into independent
 random streams and merged by summing sufficient statistics; the result
@@ -46,10 +47,10 @@ __all__ = [
 
 DUMP_HEADER = "round,xA,pA,xB,pB"
 
-# Rounds are processed in fixed-size chunks so that draws, and therefore
-# results, do not depend on how partitions are scheduled.  A chunk's arrays,
-# its four normals a round (128 KiB) and, with a dump, its four-column rows
-# (another 128 KiB), stay in L2 cache; its dump rows are one write.
+# A dump draws its rounds' normals in chunks of one fixed size, which fixes
+# which of the stream's normals each round gets.  A chunk's arrays, its four
+# normals a round (128 KiB) and its four-column rows plus one scratch column
+# (160 KiB), stay in L2 cache; its dump rows are one write.
 _CHUNK = 1 << 12
 
 
@@ -154,74 +155,62 @@ def _factor(cfg: SimConfig) -> np.ndarray:
     return r
 
 
-def _chunk(
-    r: np.ndarray, g: np.random.Generator, bufs: np.ndarray, m: int, rows: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Draw ``m`` rounds' normals; returns them as the (4, m) view
-    ``U = (z0_x, z1_x, z0_p, z1_p)`` of ``bufs[0]`` and, with ``rows``,
-    their rows ``(x_A, p_A, x_B, p_B) = (R00 z0, R01 z0 + R11 z1)``
-    through ``r`` as an (m, 4) view of ``bufs[1]``, else None.
+def _bartlett(g: np.random.Generator, n: int) -> np.ndarray:
+    """The lower-triangular 6x6 Bartlett factor ``T`` of ``n >= 6`` rounds'
+    normals: ``W = T T.T`` has their Gram matrix's law, Wishart_6(n, I)
+    (Bartlett, Proc. R. Soc. Edinb. 53, 260 (1933)).  ``T_ii^2 ~
+    chi2(n - i)``, drawn first, and the 15 ``T_ij ~ N(0, 1)`` below the
+    diagonal, row by row, are independent."""
+    t = np.zeros((6, 6))
+    t[np.diag_indices(6)] = np.sqrt(g.chisquare([float(n - i) for i in range(6)]))
+    t[np.tril_indices(6, -1)] = g.standard_normal(15)
+    return t
 
-    ``bufs`` holds flat arrays of at least ``4 m`` doubles.  The rows are
-    formed with numpy's exactly rounded multiply and add, not BLAS, so they
-    do not depend on a BLAS build.
+
+def _normals(g: np.random.Generator, state: dict, n_rounds: int, buf: np.ndarray):
+    """From the generator state ``state``, ``n_rounds`` rounds' four normals
+    ``(z0_x, z1_x, z0_p, z1_p)``: yields each chunk's first round and its
+    (4, m) view of ``buf``, refilled in place."""
+    g.bit_generator.state = state
+    for done in range(0, n_rounds, _CHUNK):
+        m = min(_CHUNK, n_rounds - done)
+        u = buf[: 4 * m].reshape(4, m)
+        g.standard_normal(out=u)
+        yield done, u
+
+
+def _row_map(k4: np.ndarray, t4: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The 4x4 ``A = k4 t4 L^-1``, ``L`` the lower Cholesky factor of ``s``:
+    normals ``Z`` of Gram matrix ``s`` give rows ``A Z`` of Gram matrix
+    ``k4 t4 t4.T k4.T``.  ``A`` solves ``A L = k4 t4`` column by column,
+    from the last; the products go through ``np.einsum``'s loops, not BLAS."""
+    low = np.zeros((4, 4))
+    for j in range(4):  # Cholesky, column by column
+        low[j, j] = math.sqrt(s[j, j] - (low[j, :j] ** 2).sum())
+        low[j + 1 :, j] = (s[j + 1 :, j] - (low[j + 1 :, :j] * low[j, :j]).sum(axis=1)) / low[j, j]
+    b = np.einsum("ij,jk->ik", k4, t4)
+    a = np.zeros((4, 4))
+    for j in range(3, -1, -1):
+        a[:, j] = (b[:, j] - (a[:, j + 1 :] * low[j + 1 :, j]).sum(axis=1)) / low[j, j]
+    return a
+
+
+def _rows(a: np.ndarray, u: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The rows ``(x_A, p_A, x_B, p_B)`` of a chunk's normals ``u`` through
+    the 4x4 map ``a``, as an (m, 4) view of ``buf``.
+
+    Each row is ``a[i, 0] z_0``, then each further normal with a nonzero
+    coefficient added in turn: numpy's exactly rounded products and sums,
+    not BLAS, so the rows do not depend on a BLAS build.
     """
-    u = bufs[0][: 4 * m].reshape(4, m)
-    g.standard_normal(out=u)
-    if not rows:
-        return u, None
-    block = bufs[1][: 4 * m].reshape(4, m)
-    for k in (0, 1):  # x, then p
-        z0, z1 = u[2 * k : 2 * k + 2]
-        est, b = block[k::2]
-        np.multiply(z1, r[1, 1], out=est)  # est is scratch until its own product
-        np.multiply(z0, r[0, 1], out=b)
-        b += est
-        np.multiply(z0, r[0, 0], out=est)
-    return u, block.T
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a positive-definite matrix, column by
-    column, without LAPACK or BLAS."""
-    low = np.zeros_like(a)
-    for j in range(len(a)):
-        low[j, j] = math.sqrt(a[j, j] - (low[j, :j] ** 2).sum())
-        low[j + 1 :, j] = (a[j + 1 :, j] - (low[j + 1 :, :j] * low[j, :j]).sum(axis=1)) / low[j, j]
-    return low
-
-
-def _normal_gram(gram: np.ndarray, u: np.ndarray, n: int, g: np.random.Generator) -> np.ndarray:
-    """The 6x6 Gram matrix ``W`` of a partition's ``n`` rounds of normals
-    ``(z0_x, z1_x, z0_p, z1_p, z2_x, z2_p)``, given ``gram = G = U U.T``
-    of the first four; ``d``'s own normals ``Z = (z2_x, z2_p)`` are drawn
-    here from ``g``, only through their sums.
-
-    ``Z`` is independent of ``U``, so given ``U`` the law is exact:
-    ``U Z.T = L N`` and ``Z Z.T = N.T N + T T.T``, with ``L`` the lower
-    Cholesky factor of ``G``, ``N`` 4x2 standard normal, and ``T`` the
-    Bartlett factor of a Wishart_2(n - 4, I) (``T00^2 ~ chi2(n - 4)``,
-    ``T11^2 ~ chi2(n - 5)``, ``T10 ~ N(0, 1)``): ``N.T N`` is the Gram
-    matrix of ``Z``'s part in ``U``'s row space, ``T T.T`` that of the
-    rest, and the two are independent.  ``T`` needs ``n >= 6``;
-    a smaller partition has one chunk, so ``u`` is all of ``U``, and its
-    ``Z`` is drawn round by round.
-
-    These small products go through ``np.einsum``'s own loops, not BLAS,
-    whose further kernels would cost each partition's process ~0.3 MB of
-    mapped text.
-    """
-    if n < 6:
-        z = g.standard_normal((2, n))
-        cross, hidden = np.einsum("ik,jk->ij", u, z), np.einsum("ik,jk->ij", z, z)
-    else:
-        normals = g.standard_normal((4, 2))
-        t = np.zeros((2, 2))
-        t[1, 0] = g.standard_normal()
-        t[0, 0], t[1, 1] = np.sqrt(g.chisquare([n - 4, n - 5]))
-        cross = np.einsum("ik,kj->ij", _cholesky(gram), normals)
-        hidden = np.einsum("ki,kj->ij", normals, normals) + np.einsum("ik,jk->ij", t, t)
-    return np.block([[gram, cross], [cross.T, hidden]])
+    m = u.shape[1]
+    block, scratch = buf[: 5 * m].reshape(5, m)[:4], buf[4 * m : 5 * m]
+    for row, coef in zip(block, a):
+        np.multiply(u[0], coef[0], out=row)
+        for c, z in zip(coef[1:], u[1:]):
+            if c:
+                row += np.multiply(z, c, out=scratch)
+    return block.T
 
 
 def _block_map(r: np.ndarray) -> np.ndarray:
@@ -244,33 +233,49 @@ def _partition_sums(r: np.ndarray, stream: RngStream, n_rounds: int, first_row: 
     """Run one partition of ``n_rounds`` rounds drawn from ``stream``
     through ``r``; returns the 6x6 sum of ``v.T @ v`` over its rounds'
     rows ``v = (x_A, p_A, x_B, p_B, d_x, d_p)``, as ``K W K.T`` with
-    ``K = _block_map(r)``.
+    ``K = _block_map(r)`` and ``W`` the Gram matrix of the rounds' normals
+    ``(z0_x, z1_x, z0_p, z1_p, z2_x, z2_p)``.
 
-    A round draws the four normals ``U``.  Only ``d`` reads the other two,
-    and the summary reads ``d`` only through sums, so ``_normal_gram``
-    draws those sums from their exact law once, after the last chunk.  It
-    is given ``G = U U.T``, summed over the chunks; plain summation
-    suffices: a partition of 1e6 rounds adds 245 chunk products.
+    From 6 rounds on, ``W = T T.T`` with ``T`` Bartlett's factor, so the
+    summary costs the same at any ``n_rounds``.  A smaller partition draws
+    its 6 x n normals, the rows' four first.
 
     With ``part_path`` the partition's rows ``(x_A, p_A, x_B, p_B)`` are
-    also formed and written there as dump rows numbered from
-    ``first_row``, one chunk at a time.
+    also written there as dump lines numbered from ``first_row``, one chunk
+    at a time, from four normals a round drawn after the summary's.  From
+    6 rounds on those normals ``Z`` are drawn twice: once to sum their Gram
+    matrix ``S``, and again to map them through ``T4 chol(S)^-1`` (``T4``
+    the top left 4x4 of ``T``).  ``chol(S)^-1 Z`` is Haar-distributed on
+    the Stiefel manifold and independent of ``S`` (Muirhead, *Aspects of
+    Multivariate Statistical Theory*, 1982), so ``U = T4 chol(S)^-1 Z``
+    has the law of the rounds' drawn normals jointly with ``W``, and
+    ``U U.T`` is ``W``'s top left block to rounding: the rows reproduce
+    the report.  Memory is one chunk of normals and one of rows.
     """
     g = stream.generator()
-    gram = np.zeros((4, 4))
-    # One chunk array of normals, and with a dump one of rows, serves every chunk.
-    bufs = np.empty((2 if part_path else 1, 4 * min(_CHUNK, n_rounds)))
-    dump = open(part_path, "w", encoding="utf-8", newline="") if part_path else contextlib.nullcontext()
+    k = _block_map(r)
+    if n_rounds < 6:
+        state = g.bit_generator.state
+        z = g.standard_normal((6, n_rounds))
+        w = np.einsum("ik,jk->ij", z, z)
+    else:
+        t = _bartlett(g, n_rounds)
+        w = np.einsum("ik,jk->ij", t, t)
+        state = g.bit_generator.state
     # A non-finite value is reported by run_protocol's moment check, not as a warning.
-    with dump as fh, np.errstate(over="ignore", invalid="ignore"):
-        for done in range(0, n_rounds, _CHUNK):
-            u, rows = _chunk(r, g, bufs, min(_CHUNK, n_rounds - done), fh is not None)
-            gram += u @ u.T
-            if fh is not None:
-                _write_rows(fh, rows, first_row + done)
-        k = _block_map(r)
-        sums = np.einsum("ia,ab,jb->ij", k, _normal_gram(gram, u, n_rounds, g), k)
-        return (sums + sums.T) / 2.0  # exactly symmetric, as a Gram matrix is
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.einsum("ia,ab,jb->ij", k, w, k)
+        if part_path is not None:
+            # One chunk array of normals and one of rows and scratch serve every chunk.
+            normals, rows = np.empty(4 * min(_CHUNK, n_rounds)), np.empty(5 * min(_CHUNK, n_rounds))
+            a = k[:4, :4]
+            if n_rounds >= 6:
+                s = sum(np.einsum("ik,jk->ij", u, u) for _, u in _normals(g, state, n_rounds, normals))
+                a = _row_map(a, t[:4, :4], s)
+            with open(part_path, "w", encoding="utf-8", newline="") as fh:
+                for done, u in _normals(g, state, n_rounds, normals):
+                    _write_rows(fh, _rows(a, u, rows), first_row + done)
+    return (sums + sums.T) / 2.0  # exactly symmetric, as a Gram matrix is
 
 
 def _usable_cpus() -> int:

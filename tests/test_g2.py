@@ -156,6 +156,16 @@ class TestLoader:
         assert err.value.lines == [2 * SLICE_ROWS + 1]
 
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_line_count_is_one_more_than_the_line_breaks(self, tmp_path, end):
+        # The file is read 1 MiB at a time, and its first line break starts on
+        # the last byte of the first read: a \r\n is split between two reads.
+        data = b"9" * ((1 << 20) - 1) + end + end.join([b"1.0,2.0"] * 1000) + end
+        path = tmp_path / "breaks.csv"
+        path.write_bytes(data)
+        breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        assert g2._plain_lines(str(path)) == breaks + 1
+
 class TestRecord:
     @pytest.mark.parametrize(
         "samples, error, message",
