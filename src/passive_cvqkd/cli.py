@@ -23,7 +23,7 @@ from .errors import (
     UnitError,
 )
 from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
-from .gaussian import DetectorModel
+from .gaussian import DetectorModel, RngStream
 from .keyrate import KeyRateReport, mutual_information, optimize_modulation, secure_key_rate
 from .noise import ChannelModel, ProtocolParams, total_noise
 from .simulate import (
@@ -295,7 +295,7 @@ def cmd_simulate(args: argparse.Namespace, settings: dict[str, str]) -> list[str
 
 def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
     s = _read(settings, _KEYS["analyze"])
-    n_boot = _parse("--n-boot", int, args.n_boot)
+    RngStream(s["seed"])  # validates the seed range; analyze draws nothing
     min_samples = _parse("--min-samples", int, args.min_samples)
     det = DetectorModel(s["eta_d"], s["v_el"])
     columns = None
@@ -310,7 +310,7 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]
     thermal = load_quadrature_records(args.thermal, columns=columns)
     cal = calibrate_photon_number(thermal, vacuum, det)
     snu = thermal.in_snu(cal.shot_variance, in_place=True)
-    result = g2_estimate(snu, n_boot=n_boot, min_samples=min_samples, rng=s["seed"])
+    result = g2_estimate(snu, min_samples=min_samples)
     lines = [
         "command=analyze",
         f"thermal_file={args.thermal}",
@@ -328,7 +328,8 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]
         f"mean_Z2={_fmt(result.mean_z2)}",
         f"g2={_fmt(result.g2)}",
         f"g2_stderr={_fmt(result.stderr)}",
-        f"bootstrap_resamples={result.resamples}",
+        # Kept, always 0, for report readers that still parse it.
+        "bootstrap_resamples=0",
     ]
     if args.histogram:
         export_histogram(snu, path=args.histogram)
@@ -383,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--columns", help="two header names to use as x,p (e.g. xA,pA)")
     p_an.add_argument("--histogram", help="write a 2-D histogram CSV of the calibrated record")
     # Parsed in cmd_analyze, so that a bad value is one error line like a bad setting's.
-    p_an.add_argument("--n-boot", default="200", help="bootstrap resamples")
     p_an.add_argument("--min-samples", default="10000", help="record-length floor for g2")
 
     command("optimize", cmd_optimize, "optimize modulation variance at one point")

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, RecordFormatError, UnitError
-from .gaussian import DetectorModel, RngStream
+from .gaussian import DetectorModel
 
 __all__ = [
     "CalibrationResult",
@@ -44,9 +44,9 @@ DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
 # Rows per slice wherever a record is read or reduced: the loader's
-# np.loadtxt calls, the finiteness check, the variance, Z and the bootstrap
-# resamples, and the np.histogram2d calls.  Their temporaries grow with the
-# rows of a slice, not of the record.
+# np.loadtxt calls, the finiteness check, the variance, the moments of Z
+# and the np.histogram2d calls.  Their temporaries grow with the rows of a
+# slice, not of the record.
 SLICE_ROWS = 1 << 14
 
 
@@ -171,11 +171,14 @@ def load_quadrature_records(
     bit-identical and no per-row Python objects are kept on the fast path.
 
     Raises:
+        ParameterError: ``columns`` names one column twice.
         FileNotFoundError: the file does not exist.
         RecordFormatError: non-numeric fields, wrong column counts,
             unknown column names, fewer than 2 samples, or text that is
             not UTF-8.
     """
+    if columns is not None and columns[0] == columns[1]:
+        raise ParameterError(f"columns must name two different columns, got {columns}")
     lines = _plain_lines(path)
     samples = None if lines is None else _load_plain(path, columns, lines)
     if samples is not None:
@@ -384,103 +387,99 @@ def calibrate_photon_number(
 
 @dataclass(frozen=True)
 class G2Result:
-    """Second-order correlation estimate with bootstrap uncertainty."""
+    """Second-order correlation estimate with its delta-method standard error."""
 
     g2: float
     mean_z: float
     mean_z2: float
     stderr: float
-    resamples: int = field(default=0, compare=False)
 
 
 def g2_estimate(
     record: QuadratureRecord,
-    n_boot: int = 200,
     min_samples: int = 10_000,
     rng: int = 0,
 ) -> G2Result:
     """Second-order intensity correlation from calibrated samples.
 
     Moments of ``Z = X^2 + P^2`` are taken about zero (displacement is
-    part of the statistic, not an offset to remove).  The standard error
-    comes from a nonparametric bootstrap, since the estimator is a
-    nonlinear moment ratio.
+    part of the statistic, not an offset to remove):
+    ``g2 = h(m1, m2) = (m2 - 4 m1 + 2) / (m1 - 1)^2`` with ``m1`` and
+    ``m2`` the means of ``Z`` and ``Z^2``.  The standard error is the
+    first-order delta method (Casella & Berger, *Statistical Inference*,
+    2nd ed., 5.5.4) in ``mu = m1`` and the central moments
+    ``c_k = mean (Z - mu)^k``:
+
+        se^2 = (a^2 c2 + 2 a b c3 + b^2 (c4 - c2^2)) / n,
+        a = 2 (mu - c2) / (mu - 1)^3,   b = 1 / (mu - 1)^2.
 
     Args:
         record: SNU-calibrated record (raw records are refused, the
             estimator is not scale invariant).
-        n_boot: bootstrap resamples for the standard error.
         min_samples: required record length.
-        rng: seed of the bootstrap's random stream.
+        rng: ignored; the estimate draws nothing.  Kept so that callers
+            that pass a seed keep working.
 
     Raises:
         UnitError: the record is not calibrated to SNU.
         DegenerateDataError: the mean of Z is too close to 1, or the
-            moments of Z or the resamples overflow.
+            moments of Z overflow.
     """
     if record.unit_flag != UNIT_SNU:
         raise UnitError("g2 requires an SNU-calibrated record; calibrate against vacuum first")
     n = len(record)
     if n < min_samples:
         raise ParameterError(f"g2 needs at least {min_samples} samples, got {n}")
-    if n_boot < 2:
-        raise ParameterError(f"n_boot must be >= 2, got {n_boot}")
 
-    def ratio(m1: float, m2: float) -> float:
-        return (m2 - 4.0 * m1 + 2.0) / ((m1 - 1.0) * (m1 - 1.0))
-
-    # Z^2 of a record near the float limits overflows, in the record or in
-    # a resample that repeats its largest Z; that is reported, not warned.
-    # Z is the one record-length array; Z^2 and each resample are formed a
-    # slice at a time, and their sums add up slice by slice.
+    # Two passes over row slices, each forming Z a slice at a time in two
+    # reused buffers: the power sums of Z about zero, then the central
+    # moments.  Z^2 of a record near the float limits overflows; that is
+    # reported, not warned.
     rows = _slices(n)
     x, p = record.samples.T
-    z = np.empty(n)
-    buf = np.empty(min(n, SLICE_ROWS))
-    with np.errstate(over="ignore", invalid="ignore"):
-        sum_z2 = 0.0
-        for part in rows:
-            zs = np.square(x[part], out=z[part])
-            zs += np.square(p[part], out=buf[: len(zs)])
-            sum_z2 += float(np.square(zs, out=buf[: len(zs)]).sum())
-        mean_z = float(z.mean())
-        mean_z2 = sum_z2 / n
-        if abs(mean_z - 1.0) < DEGENERATE_MEAN_Z_TOL:
-            raise DegenerateDataError(
-                f"mean of Z is {mean_z:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
-            )
+    z = np.empty(min(n, SLICE_ROWS))
+    tmp = np.empty_like(z)
 
-        # Bounded integers come one after another from the generator's
-        # stream, so slice by slice these draws are the indices of one
-        # integers(0, n, n) call.
-        g = RngStream(rng).generator()
-        boots = []
-        for _ in range(n_boot):
-            s1 = s2 = 0.0
-            for part in rows:
-                k = part.stop - part.start
-                # The indices are in [0, n), so "clip" never moves one; it only
-                # spares np.take the hidden copy that "raise" makes with out=.
-                zb = np.take(z, g.integers(0, n, k), out=buf[:k], mode="clip")
-                s1 += float(zb.sum())
-                s2 += float(np.square(zb, out=zb).sum())
-            m1 = s1 / n
-            if abs(m1 - 1.0) < DEGENERATE_MEAN_Z_TOL:
-                continue
-            boots.append(ratio(m1, s2 / n))
-        if len(boots) < 2:
-            raise DegenerateDataError(f"only {len(boots)} of {n_boot} bootstrap resamples are usable; at least 2 are needed")
-        stderr = float(np.std(boots, ddof=1))
-        g2 = ratio(mean_z, mean_z2)
+    def z_of(part: slice) -> np.ndarray:
+        zs = np.square(x[part], out=z[: part.stop - part.start])
+        zs += np.square(p[part], out=tmp[: len(zs)])
+        return zs
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = s2 = 0.0
+        for part in rows:
+            zs = z_of(part)
+            s1 += float(zs.sum())
+            s2 += float(np.square(zs, out=tmp[: len(zs)]).sum())
+        mu, mean_z2 = s1 / n, s2 / n
+        u = mu - 1.0
+        if abs(u) < DEGENERATE_MEAN_Z_TOL:
+            raise DegenerateDataError(
+                f"mean of Z is {mu:.9f}, within {DEGENERATE_MEAN_Z_TOL:g} of 1; g2 is undefined"
+            )
+        g2 = (mean_z2 - 4.0 * mu + 2.0) / (u * u)
+
+        # The central moments in units of mu - 1, k_j = c_j / u^j: as Z >= 0,
+        # |Z - mu| <= n mu, so their fourth powers stay in range wherever Z^2
+        # does.  In them, with alpha = a u, se^2 = (alpha^2 k2 + 2 alpha k3
+        # + k4 - k2^2) / n.
+        sums = [0.0, 0.0, 0.0]
+        for part in rows:
+            d = z_of(part)
+            d -= mu
+            d /= u
+            d2 = np.square(d, out=tmp[: len(d)])
+            sums[0] += float(d2.sum())
+            sums[1] += float(np.multiply(d, d2, out=d).sum())
+            sums[2] += float(np.square(d2, out=d2).sum())
+        k2, k3, k4 = (s / n for s in sums)
+        alpha = 2.0 * (mu / u / u - k2)
+        # The bracket is the mean square of alpha d + d^2 - k2 over the
+        # record, d = (Z - mu) / u, so it is >= 0 but for rounding.
+        stderr = math.sqrt(max(alpha * alpha * k2 + 2.0 * alpha * k3 + k4 - k2 * k2, 0.0) / n)
     if not (math.isfinite(g2) and math.isfinite(stderr)):
         raise DegenerateDataError("g2 overflows: Z^2 exceeds the float range")
-    return G2Result(
-        g2=g2,
-        mean_z=mean_z,
-        mean_z2=mean_z2,
-        stderr=stderr,
-        resamples=len(boots),
-    )
+    return G2Result(g2=g2, mean_z=mu, mean_z2=mean_z2, stderr=stderr)
 
 
 def export_histogram(

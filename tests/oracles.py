@@ -123,3 +123,25 @@ def pooled_variance_mp(columns, dps: int = 40) -> mp.mpf:
             mean = mp.fsum(values) / len(values)
             total += mp.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
         return total / len(columns)
+
+
+def g2_stderr_mp(samples, dps: int = 50) -> mp.mpf:
+    """First-order delta-method standard error of ``g2 = h(m1, m2) =
+    (m2 - 4 m1 + 2) / (m1 - 1)^2``, with ``m1`` and ``m2`` the means of
+    ``Z = x^2 + p^2`` and ``Z^2`` over the (x, p) rows of ``samples``:
+    ``sqrt(grad h . S grad h / n)``, ``S`` the covariance of ``(Z, Z^2)``
+    over the rows (``n`` in the denominator), in extended precision."""
+    with mp.workdps(dps):
+        z = [mp.mpf(x) ** 2 + mp.mpf(p) ** 2 for x, p in samples]
+        n = len(z)
+        m1 = mp.fsum(z) / n
+        m2 = mp.fsum(v**2 for v in z) / n
+        dev = [(v - m1, v**2 - m2) for v in z]
+        s11 = mp.fsum(d1 * d1 for d1, _ in dev) / n
+        s12 = mp.fsum(d1 * d2 for d1, d2 in dev) / n
+        s22 = mp.fsum(d2 * d2 for _, d2 in dev) / n
+
+        # The partial derivatives of h by the quotient rule.
+        h1 = (-4 * (m1 - 1) - 2 * (m2 - 4 * m1 + 2)) / (m1 - 1) ** 3
+        h2 = 1 / (m1 - 1) ** 2
+        return mp.sqrt((h1 * h1 * s11 + 2 * h1 * h2 * s12 + h2 * h2 * s22) / n)

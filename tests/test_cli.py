@@ -477,7 +477,7 @@ class TestAnalyze:
         hist = tmp_path / "hist.csv"
         code = main([
             "analyze", th, va, "--eta-d", "0.5", "--v-el", "0.35",
-            "--histogram", str(hist), "--n-boot", "50", "--seed", "3", "--out", str(out),
+            "--histogram", str(hist), "--seed", "3", "--out", str(out),
         ])
         assert code == EXIT_OK
         report = dict(line.split("=", 1) for line in out.read_text().splitlines())
@@ -491,7 +491,7 @@ class TestAnalyze:
         out = tmp_path / "report.txt"
         code = main([
             "analyze", va, va, "--eta-d", "0.5", "--v-el", "0.35",
-            "--min-samples", "1000", "--n-boot", "50", "--out", str(out),
+            "--min-samples", "1000", "--out", str(out),
         ])
         # Identical records: zero excess variance, so n_hat is exactly 0,
         # and the SNU record has near-vacuum variance.
@@ -521,12 +521,12 @@ class TestAnalyze:
         out = tmp_path / "report.txt"
         code = main([
             "analyze", str(renamed), va, "--columns", "x,p",
-            "--min-samples", "1000", "--n-boot", "20", "--out", str(out),
+            "--min-samples", "1000", "--out", str(out),
         ])
         assert code == EXIT_DATA  # thermal file lacks those names
         code = main([
             "analyze", str(renamed), str(renamed), "--columns", "xA,pA",
-            "--min-samples", "1000", "--n-boot", "20", "--eta-d", "0.5", "--v-el", "0.35",
+            "--min-samples", "1000", "--eta-d", "0.5", "--v-el", "0.35",
             "--out", str(out),
         ])
         assert code in (EXIT_OK, EXIT_DATA)
@@ -539,7 +539,7 @@ class TestAnalyze:
         th, va = write_records(tmp_path, n_mean=100.0, det=DetectorModel(0.5, 0.1), seed=95)
         cfg, plain, configured = tmp_path / "run.cfg", tmp_path / "plain.txt", tmp_path / "configured.txt"
         cfg.write_text(config)
-        argv = ["analyze", th, va, "--n-boot", "20", "--out"]
+        argv = ["analyze", th, va, "--out"]
         assert main(argv + [str(plain)]) == EXIT_OK
         assert main(argv + [str(configured), "--config", str(cfg)]) == EXIT_OK
         assert configured.read_bytes() == plain.read_bytes()
@@ -554,7 +554,7 @@ class TestAnalyze:
         adds record-sized arrays to that."""
         count = 200_000
         thermal, vacuum = write_records(tmp_path, count=count, seed=97)
-        argv = ["analyze", thermal, vacuum, "--histogram", str(tmp_path / "hist.csv"), "--n-boot", "2"]
+        argv = ["analyze", thermal, vacuum, "--histogram", str(tmp_path / "hist.csv")]
         with redirect_stdout(io.StringIO()):
             assert main(argv) == EXIT_OK  # first-call caches are not the command's
             tracemalloc.start()
@@ -567,12 +567,12 @@ class TestAnalyze:
 
     def test_analyze_holds_under_two_record_sized_arrays(self, tmp_path):
         """Peak traced allocation of ``analyze`` with a histogram, on a
-        200k-row thermal and a 200k-row vacuum record: ~1.6 times the 3.2 MB
+        200k-row thermal and a 200k-row vacuum record: ~1.4 times the 3.2 MB
         sample array of one record (measured).  The vacuum is reduced to its
         moments before the thermal loads, the thermal is scaled to
-        shot-noise units in place, and Z is the one other record-length
-        array; loading both records at once, or copying the thermal, adds
-        a record-sized array to that."""
+        shot-noise units in place, and the rest are slice temporaries;
+        loading both records at once, or copying the thermal, adds a
+        record-sized array to that."""
         count = 200_000
         g = RngStream(98).generator()
         argv = ["analyze"]
@@ -580,7 +580,7 @@ class TestAnalyze:
             path = tmp_path / f"{name}.csv"
             path.write_text("".join(f"{x:.6g},{p:.6g}\n" for x, p in (sigma * g.standard_normal((count, 2))).tolist()))
             argv.append(str(path))
-        argv += ["--histogram", str(tmp_path / "hist.csv"), "--n-boot", "2"]
+        argv += ["--histogram", str(tmp_path / "hist.csv")]
         with redirect_stdout(io.StringIO()):
             assert main(argv) == EXIT_OK  # first-call caches are not the command's
             tracemalloc.start()
@@ -646,9 +646,14 @@ def _at_100_photons_10_km(*argv):
         pytest.param(lambda _: ["sweep", "--n0", ","], EXIT_CONFIG, "axes must be non-empty", id="empty-axis"),
         pytest.param(_analyze("--columns", "xB"), EXIT_CONFIG, "--columns needs two names", id="one-column"),
         pytest.param(
-            _analyze("--n-boot", "1", "--min-samples", "1000"), EXIT_CONFIG, "n_boot must be >= 2", id="one-resample"
+            _analyze("--columns", "x,x"), EXIT_CONFIG, "columns must name two different columns", id="one-column-twice"
         ),
-        pytest.param(_analyze("--n-boot", "x"), EXIT_CONFIG, "--n-boot must be an integer, got 'x'", id="n-boot-x"),
+        *(
+            pytest.param(
+                _analyze("--seed", seed), EXIT_CONFIG, "master_seed must be a 64-bit unsigned integer", id=f"seed-{seed}"
+            )
+            for seed in ("-1", str(2**64))
+        ),
         pytest.param(
             _analyze("--min-samples", "x"), EXIT_CONFIG, "--min-samples must be an integer, got 'x'", id="min-samples-x"
         ),
@@ -849,29 +854,27 @@ def _config_bytes(draw):
         st.just({}), st.just({}), st.dictionaries(st.sampled_from(_KEYS_ANALYZE), _HOSTILE, max_size=2)
     ),
     histogram=st.booleans(),
-    # Small on purpose: a drawn record has at most 24 rows, and the
-    # bootstrap draws n_boot resamples of it.
+    # Small on purpose: a drawn record has at most 24 rows.
     min_samples=st.integers(-1, 12),
-    n_boot=st.integers(0, 20),
 )
 @example(  # a plain pair of records, CRLF, with a histogram: exit 0
     records=(b"x,p\r\n3,1\r\n-2,4\r\n0.5,-3\r\n", b"x,p\r\n1,0\r\n0,-1\r\n-1,0.5\r\n", None), vacuum_file="vacuum",
-    config=None, overrides={}, histogram=True, min_samples=2, n_boot=5,
+    config=None, overrides={}, histogram=True, min_samples=2,
 )
 @example(  # byte-order marks, a duplicate key and a 0xff byte in the config
     records=(_BOM + b"xA,pA\n1,2\n3,5\n", b"", "xA,pA"), vacuum_file="thermal",
-    config=_BOM + b"seed=1\r\nseed=\xff2\r\nv_el=0.1\r\n", overrides={}, histogram=False, min_samples=2, n_boot=5,
+    config=_BOM + b"seed=1\r\nseed=\xff2\r\nv_el=0.1\r\n", overrides={}, histogram=False, min_samples=2,
 )
 @example(  # the squared variance overflowed: OverflowError out of main
     records=(b"round,xA,pA,xB,pB\n0.0,0.0,2.315841784746324e+77\n0.0,0.0,0.0,0.0,0.0\n", b"", "xA,pA"),
-    vacuum_file="thermal", config=None, overrides={}, histogram=False, min_samples=0, n_boot=2,
+    vacuum_file="thermal", config=None, overrides={}, histogram=False, min_samples=0,
 )
 @example(  # the variance overflowed: a RuntimeWarning, then exit 2 for "shot_variance ... inf"
     records=(b"1e300,1\n-1e300,2\n", b"1,2\n3,4\n", None), vacuum_file="vacuum", config=None, overrides={},
-    histogram=False, min_samples=2, n_boot=5,
+    histogram=False, min_samples=2,
 )
 def test_analyze_exits_cleanly_over_its_input_domain(
-    records, vacuum_file, config, overrides, histogram, min_samples, n_boot
+    records, vacuum_file, config, overrides, histogram, min_samples
 ):
     thermal, vacuum, columns = records
     with tempfile.TemporaryDirectory() as tmp:
@@ -880,7 +883,7 @@ def test_analyze_exits_cleanly_over_its_input_domain(
         for name, data in (("thermal", thermal), ("vacuum", vacuum), ("run", config or b"")):
             with open(paths[name], "wb") as fh:
                 fh.write(data)
-        argv = ["analyze", paths["thermal"], paths[vacuum_file], f"--min-samples={min_samples}", f"--n-boot={n_boot}"]
+        argv = ["analyze", paths["thermal"], paths[vacuum_file], f"--min-samples={min_samples}"]
         # --key=value keeps argparse from reading a value like -inf as a flag.
         argv += [f"--{key.replace('_', '-')}={value}" for key, value in overrides.items()]
         argv += [f"--config={paths['run']}"] if config is not None else []
@@ -925,6 +928,7 @@ USAGE_ERRORS = [
     ["analyze", "thermal.csv"],
     ["analyze", "thermal.csv", "vacuum.csv", "--bogus", "1"],
     ["analyze", "thermal.csv", "vacuum.csv", "--columns"],
+    ["analyze", "thermal.csv", "vacuum.csv", "--n-boot", "200"],
 ]
 
 

@@ -7,10 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import displaced_gaussian_g2, pooled_variance_mp
+from oracles import displaced_gaussian_g2, g2_stderr_mp, pooled_variance_mp
 from passive_cvqkd import (
     DegenerateDataError,
     DetectorModel,
@@ -95,6 +95,10 @@ class TestLoader:
         path.write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(RecordFormatError):
             load_quadrature_records(str(path), columns=("xA", "pA"))
+
+    def test_one_column_named_twice_is_refused_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(ParameterError, match="columns must name two different columns"):
+            load_quadrature_records(str(tmp_path / "never-read.csv"), columns=("xB", "xB"))
 
     def test_unknown_column_names(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -283,7 +287,7 @@ def plus_minus(value):
             lambda: calibrate_photon_number(plus_minus(1e150), plus_minus(1e-150), IV_DET),
             "photon-number estimate overflows",
         ),
-        (lambda: g2_estimate(plus_minus(1e100).in_snu(1.0), n_boot=2, min_samples=2), "g2 overflows"),
+        (lambda: g2_estimate(plus_minus(1e100).in_snu(1.0), min_samples=2), "g2 overflows"),
         (lambda: plus_minus(1e300).in_snu(1e-300), "record overflows in shot-noise units"),
         (lambda: plus_minus(1e300).in_snu(1e-300, in_place=True), "record overflows in shot-noise units"),
     ],
@@ -499,7 +503,7 @@ class TestG2:
     def test_any_zero_mean_gaussian_gives_two(self):
         for variance, seed in ((1.0, 71), (7.3, 72), (401.35, 73)):
             samples = math.sqrt(variance) * RngStream(seed).generator().standard_normal((200_000, 2))
-            result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=seed, n_boot=100)
+            result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=seed)
             assert abs(result.g2 - 2.0) < 5.0 * result.stderr + 0.02
 
     def test_displaced_light_tends_to_one(self):
@@ -521,21 +525,6 @@ class TestG2:
         with pytest.raises(DegenerateDataError):
             g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=3)
 
-    # Z is 0 for the first sample and 2 for the others: the record's mean
-    # of Z is 1.5, but a resample that draws the first one twice has mean 1.
-    TWO_LEVEL_Z = [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
-
-    def test_degenerate_resamples_are_skipped(self):
-        result = g2_estimate(QuadratureRecord(self.TWO_LEVEL_Z, UNIT_SNU), n_boot=200, min_samples=4, rng=0)
-        assert result.mean_z == 1.5
-        assert 2 <= result.resamples < 200
-        assert math.isfinite(result.stderr)
-
-    def test_too_few_usable_resamples(self):
-        message = "^only 1 of 2 bootstrap resamples are usable; at least 2 are needed$"
-        with pytest.raises(DegenerateDataError, match=message):
-            g2_estimate(QuadratureRecord(self.TWO_LEVEL_Z, UNIT_SNU), n_boot=2, min_samples=4, rng=0)
-
     def test_sample_floor(self):
         samples = RngStream(77).generator().standard_normal((5_000, 2))
         with pytest.raises(ParameterError):
@@ -543,7 +532,7 @@ class TestG2:
         result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), min_samples=1_000, rng=4)
         assert math.isfinite(result.g2)
 
-    def test_bootstrap_is_deterministic(self):
+    def test_estimate_is_deterministic(self):
         samples = 2.0 * RngStream(78).generator().standard_normal((50_000, 2))
         record = QuadratureRecord(samples, UNIT_SNU)
         a = g2_estimate(record, rng=9)
@@ -551,51 +540,28 @@ class TestG2:
         assert a.g2 == b.g2
         assert a.stderr == b.stderr
 
-    def test_bootstrap_matches_a_reference_resampling_bit_for_bit(self):
-        # The estimator draws each resample's indices slice by slice into one
-        # reused buffer; the reference draws them in one call per resample and
-        # gathers and squares fresh arrays.  Both add up slice sums in order.
-        samples = 1.5 * RngStream(81).generator().standard_normal((30_000, 2))
-        n, n_boot, seed = len(samples), 50, 13
-        assert SLICE_ROWS < n < 2 * SLICE_ROWS
-        result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), n_boot=n_boot, rng=seed)
+    def test_rng_is_ignored(self):
+        record = QuadratureRecord(2.0 * RngStream(83).generator().standard_normal((20_000, 2)), UNIT_SNU)
+        assert g2_estimate(record, rng=1) == g2_estimate(record, rng=2) == g2_estimate(record)
 
-        def ratio(m1, m2):
-            return (m2 - 4.0 * m1 + 2.0) / ((m1 - 1.0) * (m1 - 1.0))
-
-        def sliced_sum(values):
-            return sum(float(values[start : start + SLICE_ROWS].sum()) for start in range(0, n, SLICE_ROWS))
-
-        z = np.square(samples).sum(axis=1)
-        g = RngStream(seed).generator()
-        boots = []
-        for _ in range(n_boot):
-            zb = z[g.integers(0, n, n)]
-            boots.append(ratio(sliced_sum(zb) / n, sliced_sum(np.square(zb)) / n))
-        assert result.resamples == n_boot
-        assert result.stderr == float(np.std(boots, ddof=1))
-        assert result.mean_z == float(z.mean())
-        assert result.mean_z2 == sliced_sum(np.square(z)) / n
-        assert result.g2 == ratio(result.mean_z, result.mean_z2)
-
-    def test_traced_peak_does_not_grow_with_the_resamples(self):
-        # Z is the one record-length array: each resample is drawn, gathered
-        # and summed a slice at a time in reused buffers.
-        n = 200_000
-        record = QuadratureRecord(RngStream(82).generator().standard_normal((n, 2)), UNIT_SNU)
-        g2_estimate(record, n_boot=2)  # first-call caches are not the estimator's
+    def test_traced_peak_does_not_grow_with_the_record(self):
+        # The moments of Z are summed a slice at a time in two reused
+        # buffers, so no array grows with the record; the record itself is
+        # made before tracing starts.
         peaks = []
-        for n_boot in (2, 50):
+        for n in (100_000, 400_000):
+            record = QuadratureRecord(RngStream(82).generator().standard_normal((n, 2)), UNIT_SNU)
+            g2_estimate(record)  # first-call caches are not the estimator's
             tracemalloc.start()
             try:
-                g2_estimate(record, n_boot=n_boot)
+                g2_estimate(record)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 1.05 * peaks[0]
-        assert peaks[0] < 8 * n + 32 * SLICE_ROWS + 100_000
+        assert peaks[1] < 1.25 * peaks[0]
+        assert peaks[1] < 16 * SLICE_ROWS + 100_000
 
-    def test_bootstrap_stderr_scales_as_inverse_root_count(self):
+    def test_stderr_scales_as_inverse_root_count(self):
         g = RngStream(79).generator()
         big = 3.0 * g.standard_normal((400_000, 2))
         small_record = QuadratureRecord(big[:100_000], UNIT_SNU)
@@ -603,6 +569,17 @@ class TestG2:
         se_small = g2_estimate(small_record, rng=10).stderr
         se_big = g2_estimate(big_record, rng=11).stderr
         assert abs(se_small / se_big - 2.0) < 0.2 * 2.0
+
+    def test_stderr_is_the_spread_of_g2_over_independent_records(self):
+        # The sample SD of g2 over 400 thermal records of 1e4 rows has a
+        # relative standard error of ~4%, so 15% is about 4 of them.
+        g2s, stderrs = [], []
+        for k in range(400):
+            samples = 3.0 * RngStream(84, k).generator().standard_normal((10_000, 2))
+            result = g2_estimate(QuadratureRecord(samples, UNIT_SNU))
+            g2s.append(result.g2)
+            stderrs.append(result.stderr)
+        assert abs(np.std(g2s, ddof=1) / np.mean(stderrs) - 1.0) < 0.15
 
     def test_scale_dependence_motivates_the_unit_guard(self):
         # The estimator is not scale-free (zero-mean Gaussians are the
@@ -612,6 +589,45 @@ class TestG2:
         raw = g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=12)
         scaled = g2_estimate(QuadratureRecord(samples * 3.0, UNIT_SNU), rng=12)
         assert abs(raw.g2 - scaled.g2) > 0.01
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    rows=st.integers(20, 300),
+    kind=st.sampled_from(["thermal", "displaced"]),
+    level=st.floats(0.5, 400.0),
+    # Above ~1e39 the fourth powers of Z overflow in float while its squares do not.
+    scale=st.sampled_from([1.0, 1.0, 1e-3, 0.3, 7.0, 1e45, 1e60, 1e70]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=300, kind="thermal", level=400.0, scale=1e70, seed=0)
+@example(rows=20, kind="displaced", level=400.0, scale=1e45, seed=1)
+def test_g2_stderr_matches_the_delta_method_oracle(rows, kind, level, scale, seed):
+    # level is a thermal record's per-quadrature variance, or a displaced
+    # record's mean-square displacement on unit-variance quadratures.
+    z = RngStream(seed).generator().standard_normal((rows, 2))
+    samples = scale * (math.sqrt(level) * z if kind == "thermal" else z + math.sqrt(level / 2.0))
+    assume(abs(np.square(samples).sum(axis=1).mean() - 1.0) > 1e-3)
+    result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), min_samples=2)
+    assert math.isfinite(result.g2) and math.isfinite(result.stderr)
+    want = g2_stderr_mp(samples.tolist())
+    assert abs(result.stderr - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("offset", [-5e-7, 0.0, 5e-7, -2e-6, 2e-6])
+def test_g2_is_refused_within_1e_6_of_a_unit_mean_z(offset):
+    # A thermal record rescaled so that its mean of Z is 1 + offset.
+    samples = 2.0 * RngStream(88).generator().standard_normal((1_000, 2))
+    mean_z = float(np.square(samples).sum(axis=1).mean())
+    record = QuadratureRecord(samples * math.sqrt((1.0 + offset) / mean_z), UNIT_SNU)
+    if abs(offset) < 1e-6:
+        with pytest.raises(DegenerateDataError, match="within 1e-06 of 1; g2 is undefined"):
+            g2_estimate(record, min_samples=2)
+    else:
+        result = g2_estimate(record, min_samples=2)
+        assert math.isfinite(result.g2) and math.isfinite(result.stderr)
+        want = g2_stderr_mp(record.samples.tolist())
+        assert abs(result.stderr - want) <= 1e-9 * want
 
 
 class TestHistogram:
