@@ -17,7 +17,6 @@ from .g2 import (
     CalibrationResult,
     G2Result,
     QuadratureRecord,
-    RecordMoments,
     calibrate_photon_number,
     export_histogram,
     g2_estimate,
@@ -62,7 +61,6 @@ __all__ = [
     "ProtocolParams",
     "QuadratureRecord",
     "RecordFormatError",
-    "RecordMoments",
     "RngStream",
     "SimConfig",
     "SimSummary",

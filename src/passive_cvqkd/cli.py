@@ -23,7 +23,7 @@ from .errors import (
     UnitError,
 )
 from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
-from .gaussian import DetectorModel, RngStream
+from .gaussian import DetectorModel
 from .keyrate import KeyRateReport, mutual_information, optimize_modulation, secure_key_rate
 from .noise import ChannelModel, ProtocolParams, total_noise
 from .simulate import (
@@ -143,7 +143,7 @@ DEFAULTS = {key: default for key, (default, _, _) in _SETTINGS.items() if defaul
 _KEYS = {
     "sweep": "gamma eps0 v_el eta_d f n0 va length".split(),
     "simulate": "gamma eps0 v_el eta_d n0 va length count seed partitions workers".split(),
-    "analyze": "v_el eta_d seed".split(),
+    "analyze": "v_el eta_d".split(),
     "optimize": "gamma eps0 v_el eta_d f n0 length".split(),
 }
 
@@ -295,7 +295,6 @@ def cmd_simulate(args: argparse.Namespace, settings: dict[str, str]) -> list[str
 
 def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
     s = _read(settings, _KEYS["analyze"])
-    RngStream(s["seed"])  # validates the seed range; analyze draws nothing
     min_samples = _parse("--min-samples", int, args.min_samples)
     det = DetectorModel(s["eta_d"], s["v_el"])
     columns = None
@@ -304,19 +303,21 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]
         if len(names) != 2:
             raise ParameterError(f"--columns needs two names, got {args.columns!r}")
         columns = (names[0], names[1])
-    # One record's samples at a time: the calibration reads only the
-    # vacuum's moments, and g2 and the histogram only the thermal in SNU.
-    vacuum = load_quadrature_records(args.vacuum, columns=columns).moments()
+    # Each record lives in its loader's temporary file and is read a slice
+    # at a time.  The vacuum's variance is taken before the thermal is read,
+    # so with two bad files the vacuum's error is the one reported.
+    vacuum = load_quadrature_records(args.vacuum, columns=columns)
+    vacuum.pooled_variance()
     thermal = load_quadrature_records(args.thermal, columns=columns)
     cal = calibrate_photon_number(thermal, vacuum, det)
-    snu = thermal.in_snu(cal.shot_variance, in_place=True)
+    snu = thermal.in_snu(cal.shot_variance)
     result = g2_estimate(snu, min_samples=min_samples)
     lines = [
         "command=analyze",
         f"thermal_file={args.thermal}",
         f"vacuum_file={args.vacuum}",
         f"samples_thermal={len(snu)}",
-        f"samples_vacuum={vacuum.n}",
+        f"samples_vacuum={len(vacuum)}",
         f"eta_d={_fmt(det.eta_d)}",
         f"v_el={_fmt(det.v_el)}",
         f"thermal_variance_raw={_fmt(cal.thermal_variance)}",

@@ -15,9 +15,15 @@ it refuses records that have not been calibrated to SNU.
 
 from __future__ import annotations
 
+import codecs
+import copy
+import itertools
 import math
+import tempfile
 import warnings
-from dataclasses import dataclass, replace
+import weakref
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +34,6 @@ __all__ = [
     "CalibrationResult",
     "G2Result",
     "QuadratureRecord",
-    "RecordMoments",
     "UNIT_RAW",
     "UNIT_SNU",
     "calibrate_photon_number",
@@ -44,10 +49,12 @@ DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
 # Rows per slice wherever a record is read or reduced: the loader's
-# np.loadtxt calls, the finiteness check, the variance, the moments of Z
-# and the np.histogram2d calls.  Their temporaries grow with the rows of a
-# slice, not of the record.
+# np.loadtxt calls and spill writes, the finiteness checks, the variance,
+# the moments of Z and the np.histogram2d calls.  Their temporaries grow
+# with the rows of a slice, not of the record.
 SLICE_ROWS = 1 << 14
+# Bytes per read of a record file's raw text.
+_READ_BYTES = 1 << 16
 
 
 def _slices(n: int) -> list[slice]:
@@ -55,65 +62,103 @@ def _slices(n: int) -> list[slice]:
     return [slice(start, min(start + SLICE_ROWS, n)) for start in range(0, n, SLICE_ROWS)]
 
 
-@dataclass(frozen=True)
-class RecordMoments:
-    """What the photon-number calibration reads of a record: its length,
-    pooled per-quadrature variance and unit."""
+class _Spill:
+    """(x, p) rows as float64 pairs, 16 bytes a row, in an anonymous
+    temporary file: unlinked as it is made, closed when the spill is
+    collected."""
 
-    n: int
-    variance: float
-    unit_flag: str
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"n must be >= 2, got {self.n}")
-        if not (self.variance >= 0.0 and math.isfinite(self.variance)):
-            raise ParameterError(f"variance must be finite and >= 0, got {self.variance}")
-        if self.unit_flag not in (UNIT_RAW, UNIT_SNU):
-            raise ParameterError(f"unit_flag must be '{UNIT_RAW}' or '{UNIT_SNU}', got {self.unit_flag!r}")
-
-    def moments(self) -> "RecordMoments":
-        return self
-
-
-@dataclass
-class QuadratureRecord:
-    """A sequence of paired (x, p) outcomes plus calibration metadata."""
-
-    samples: np.ndarray
-    unit_flag: str = UNIT_RAW
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
-            raise ParameterError(f"samples must have shape (n, 2), got {self.samples.shape}")
-        if len(self.samples) < 2:
-            raise RecordFormatError(f"need at least 2 samples, got {len(self.samples)}")
-        if not all(np.isfinite(self.samples[part]).all() for part in _slices(len(self.samples))):
-            raise ParameterError("samples contain NaN or Inf values")
-        if self.unit_flag not in (UNIT_RAW, UNIT_SNU):
-            raise ParameterError(f"unit_flag must be '{UNIT_RAW}' or '{UNIT_SNU}', got {self.unit_flag!r}")
+    def __init__(self):
+        self._fh = tempfile.TemporaryFile()
+        weakref.finalize(self, self._fh.close)
+        self._rows = 0
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._rows
+
+    def append(self, rows: np.ndarray) -> None:
+        """Write a C-contiguous ``(k, 2)`` float64 array after the rows already spilled."""
+        self._fh.write(rows)
+        self._rows += len(rows)
+
+    def slices(self) -> Iterator[np.ndarray]:
+        """The rows, ``SLICE_ROWS`` at a time, read into one reused buffer."""
+        buf = np.empty((min(self._rows, SLICE_ROWS), 2))
+        for rows in _slices(self._rows):
+            part = buf[: rows.stop - rows.start]
+            self._fh.seek(16 * rows.start)
+            if self._fh.readinto(part) != part.nbytes:
+                raise OSError(f"temporary record file ends before row {rows.stop}")
+            yield part
+
+
+class QuadratureRecord:
+    """A sequence of paired (x, p) outcomes plus calibration metadata.
+
+    The samples are an ``(n, 2)`` array in memory, or the rows that
+    ``load_quadrature_records`` spilled to a temporary file.  Every
+    reduction reads them through ``slices()``, so the two give the same
+    values bit for bit, and a spilled record is never held in memory.
+    """
+
+    def __init__(self, samples: np.ndarray | _Spill, unit_flag: str = UNIT_RAW):
+        if not isinstance(samples, _Spill):  # the loader checks what it spills
+            samples = np.asarray(samples, dtype=np.float64)
+            if samples.ndim != 2 or samples.shape[1] != 2:
+                raise ParameterError(f"samples must have shape (n, 2), got {samples.shape}")
+            if len(samples) < 2:
+                raise RecordFormatError(f"need at least 2 samples, got {len(samples)}")
+            if not all(np.isfinite(samples[part]).all() for part in _slices(len(samples))):
+                raise ParameterError("samples contain NaN or Inf values")
+        if unit_flag not in (UNIT_RAW, UNIT_SNU):
+            raise ParameterError(f"unit_flag must be '{UNIT_RAW}' or '{UNIT_SNU}', got {unit_flag!r}")
+        self._source = samples
+        self._divisor: float | None = None  # set by in_snu
+        self.unit_flag = unit_flag
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+    def slices(self) -> Iterator[np.ndarray]:
+        """The samples in the record's units, ``SLICE_ROWS`` rows at a time,
+        in order.  Each slice may be overwritten once the next is drawn."""
+        if isinstance(self._source, _Spill):
+            parts = self._source.slices()
+        else:
+            parts = (self._source[rows] for rows in _slices(len(self)))
+        if self._divisor is None:
+            yield from parts
+            return
+        out = np.empty((min(len(self), SLICE_ROWS), 2))
+        for part in parts:
+            yield np.divide(part, self._divisor, out=out[: len(part)])
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The samples in the record's units as one ``(n, 2)`` array: the
+        array itself for an unscaled in-memory record, else a new one."""
+        if self._divisor is None and not isinstance(self._source, _Spill):
+            return self._source
+        out = np.empty((len(self), 2))
+        for rows, part in zip(_slices(len(self)), self.slices()):
+            out[rows] = part
+        return out
 
     def pooled_variance(self) -> float:
         """Per-quadrature variance about the mean, x and p pooled; one that
         overflows is a DegenerateDataError.
 
-        Two passes over row slices of each quadrature, the mean and then
+        Two passes over the slices for each quadrature, the mean and then
         the squared deviations, so no record-sized temporary is made.
         """
         n = len(self)
-        rows = _slices(n)
         dev = np.empty(min(n, SLICE_ROWS))
         s = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for col in self.samples.T:
-                mean = sum(float(col[part].sum()) for part in rows) / n
+            for col in (0, 1):
+                mean = sum(float(part[:, col].sum()) for part in self.slices()) / n
                 squares = 0.0
-                for part in rows:
-                    d = np.subtract(col[part], mean, out=dev[: part.stop - part.start])
+                for part in self.slices():
+                    d = np.subtract(part[:, col], mean, out=dev[: len(part)])
                     squares += float(np.square(d, out=d).sum())
                 s += squares / (n - 1)
         s /= 2.0
@@ -121,29 +166,25 @@ class QuadratureRecord:
             raise DegenerateDataError("record variance overflows")
         return s
 
-    def moments(self) -> RecordMoments:
-        return RecordMoments(len(self), self.pooled_variance(), self.unit_flag)
-
-    def in_snu(self, shot_variance: float, *, in_place: bool = False) -> "QuadratureRecord":
+    def in_snu(self, shot_variance: float) -> "QuadratureRecord":
         """Rescale a raw record into shot-noise units.
 
         ``shot_variance`` is the raw-unit variance corresponding to one
-        SNU, as determined by a vacuum reference.  A record that overflows
-        in shot-noise units is a DegenerateDataError.  With ``in_place``
-        the samples are divided where they are, so no copy is made, and
-        this record must not be used again.
+        SNU, as determined by a vacuum reference.  The new record shares
+        this one's samples and divides each slice as it is read; one that
+        overflows in shot-noise units is a DegenerateDataError.
         """
         if self.unit_flag == UNIT_SNU:
             raise UnitError("record is already in shot-noise units")
         if not (shot_variance > 0.0 and math.isfinite(shot_variance)):
             raise ParameterError(f"shot_variance must be > 0, got {shot_variance}")
+        snu = copy.copy(self)
+        snu.unit_flag, snu._divisor = UNIT_SNU, math.sqrt(shot_variance)
         with np.errstate(over="ignore"):
-            samples = np.divide(self.samples, math.sqrt(shot_variance), out=self.samples if in_place else None)
-        try:
-            return replace(self, samples=samples, unit_flag=UNIT_SNU)
-        except ParameterError:
-            # This record's samples are finite, so the rescaling overflowed.
-            raise DegenerateDataError("record overflows in shot-noise units") from None
+            if not all(np.isfinite(part).all() for part in snu.slices()):
+                # This record's samples are finite, so the rescaling overflowed.
+                raise DegenerateDataError("record overflows in shot-noise units")
+        return snu
 
 
 def load_quadrature_records(
@@ -168,25 +209,24 @@ def load_quadrature_records(
     above could disagree, the line scanner reads it instead.  The scanner
     defines the format, names the bad lines and accepts the rare cells
     only ``float`` takes (``1_000``, say).  Either way the values are
-    bit-identical and no per-row Python objects are kept on the fast path.
+    bit-identical.  The rows go a slice at a time into an anonymous
+    temporary file of 16 bytes a row, which backs the returned record, so
+    a load holds one slice and one read of text at any record length.
 
     Raises:
         ParameterError: ``columns`` names one column twice.
         FileNotFoundError: the file does not exist.
+        OSError: the temporary file cannot be written.
         RecordFormatError: non-numeric fields, wrong column counts,
             unknown column names, fewer than 2 samples, or text that is
             not UTF-8.
     """
     if columns is not None and columns[0] == columns[1]:
         raise ParameterError(f"columns must name two different columns, got {columns}")
-    lines = _plain_lines(path)
-    samples = None if lines is None else _load_plain(path, columns, lines)
-    if samples is not None:
-        try:
-            return QuadratureRecord(samples, unit_flag=UNIT_RAW)
-        except ParameterError:
-            pass  # a cell that is not finite; the line scanner names its line
-    return QuadratureRecord(_scan(path, columns), unit_flag=UNIT_RAW)
+    spill = _load_plain(path, columns) if _is_plain(path) else None
+    if spill is None:
+        spill = _scan(path, columns)
+    return QuadratureRecord(spill, unit_flag=UNIT_RAW)
 
 
 def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, path: str) -> tuple[bool, int, int]:
@@ -216,76 +256,96 @@ def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, pa
 # from a cell and float() does not; a file with any of them, or with any
 # non-ASCII byte, goes to the line scanner.
 _SCANNER_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# The line breaks of str.splitlines().
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _plain_lines(path: str) -> int | None:
-    """An upper bound on the lines of ``path`` if numpy's tokenizer and the
-    line scanner split it alike, else None: one more than its line breaks,
-    each ``\n``, ``\r\n`` and lone ``\r`` counted once."""
-    lines, after_cr = 1, False
+def _is_plain(path: str) -> bool:
+    """Whether numpy's tokenizer and the line scanner split ``path`` alike:
+    it is ASCII and has none of the bytes in ``_SCANNER_ONLY``."""
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        while chunk := fh.read(_READ_BYTES):
             if not chunk.isascii() or any(b in chunk for b in _SCANNER_ONLY):
-                return None
-            # numpy compares and counts the bytes ~6x faster than bytes.count
-            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
-            if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            if after_cr and chunk.startswith(b"\n"):
-                lines -= 1  # a \r\n split between two reads
-            after_cr = chunk.endswith(b"\r")
-    return lines
+                return False
+    return True
 
 
-def _load_plain(path: str, columns: tuple[str, str] | None, lines: int) -> np.ndarray | None:
-    """The samples of a plain ASCII file by ``np.loadtxt``, or None if it
-    refuses; the record built from them checks that they are finite.
-
-    The rows go a slice at a time into one array of ``lines`` rows, so no
-    growing buffer is copied: the load takes the record plus one slice.
-    """
-    data = np.empty((lines, 2))
-    rows = 0
+def _load_plain(path: str, columns: tuple[str, str] | None) -> _Spill | None:
+    """The rows of a plain ASCII file, parsed by ``np.loadtxt`` a slice at
+    a time into a spill; None if numpy refuses the file, a selected cell
+    is not finite or there are fewer than 2 rows."""
     with open(path, "r", encoding="utf-8") as fh:
         first = next((line for line in iter(fh.readline, "") if line.strip()), None)
         has_header, idx_x, idx_p = _resolve_columns(first, columns, path)
         if not has_header:
             fh.seek(0)
         usecols = (idx_x, idx_p) if has_header else None
+        spill = _Spill()
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
-                while True:
-                    part = np.loadtxt(fh, delimiter=",", comments=None, usecols=usecols, ndmin=2, max_rows=SLICE_ROWS)
-                    if len(part) == 0:
-                        break
-                    if part.shape[1] != 2:
+                slice_args = dict(delimiter=",", comments=None, usecols=usecols, ndmin=2, max_rows=SLICE_ROWS)
+                while len(part := np.loadtxt(fh, **slice_args)):
+                    if part.shape[1] != 2 or not np.isfinite(part).all():
                         return None
-                    data[rows : rows + len(part)] = part
-                    rows += len(part)
+                    spill.append(part)
         except ValueError:
             return None
-    return data[:rows] if rows >= 2 else None
+    return spill if len(spill) >= 2 else None
 
 
-def _scan(path: str, columns: tuple[str, str] | None) -> np.ndarray:
-    """The line scanner: the definition of the record format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # A leading byte-order mark is not content.  Stripped here, not by
-            # "utf-8-sig", so that a decode error names its byte in the file.
-            lines = fh.read().removeprefix("\ufeff").splitlines()
-        except UnicodeDecodeError as exc:
-            raise RecordFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The number and text of each line of ``path``, as ``str.splitlines``
+    splits its whole UTF-8 text with a leading byte-order mark removed,
+    decoded ``_READ_BYTES`` at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset, carry, lineno, at_start = 0, "", 0, True
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_READ_BYTES)
+            held = len(decoder.getstate()[0])  # bytes of a character split by the last read
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                raise RecordFormatError(f"{path}: not UTF-8 text (byte {offset - held + exc.start})") from None
+            if at_start and text:
+                # A leading byte-order mark is not content.  Stripped here, not by
+                # "utf-8-sig", so that a decode error names its byte in the file.
+                text, at_start = text.removeprefix("\ufeff"), False
+            offset += len(chunk)
+            text = carry + text
+            lines = text.splitlines()
+            # Before the end of the file, the last line goes on in the next
+            # read unless it ended in a break, and one that ended in a \r may
+            # yet end in a \r\n.
+            carry = ""
+            if chunk and lines and text[-1] not in _BREAKS:
+                carry = lines.pop()
+            elif chunk and text.endswith("\r"):
+                carry = lines.pop() + "\r"
+            for line in lines:
+                lineno += 1
+                yield lineno, line
+            if not chunk:
+                return
 
-    first_idx = next((i for i, line in enumerate(lines) if line.strip()), None)
-    has_header, idx_x, idx_p = _resolve_columns(None if first_idx is None else lines[first_idx], columns, path)
-    start = first_idx + 1 if has_header else 0
 
+def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
+    """The line scanner: the definition of the record format.  It holds one
+    read of text and one slice of rows, and names every bad line."""
+    lines = _text_lines(path)
+    first = next(((n, line) for n, line in lines if line.strip()), None)
+    try:
+        has_header, idx_x, idx_p = _resolve_columns(None if first is None else first[1], columns, path)
+    except RecordFormatError:
+        for _ in lines:
+            pass  # text that is not UTF-8 is reported first, wherever it is
+        raise
     needed = max(idx_x, idx_p) + 1
-    rows: list[tuple[float, float]] = []
+    spill = _Spill()
+    rows: list[float] = []  # x, p, x, p, ... of the rows not yet spilled
     bad: list[int] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in itertools.chain([] if has_header or first is None else [first], lines):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -300,15 +360,21 @@ def _scan(path: str, columns: tuple[str, str] | None) -> np.ndarray:
         if not (math.isfinite(x) and math.isfinite(p)):
             bad.append(lineno)
             continue
-        rows.append((x, p))
+        if not bad:  # after a bad line no row is kept
+            rows.append(x)
+            rows.append(p)
+            if len(rows) == 2 * SLICE_ROWS:
+                spill.append(np.array(rows).reshape(-1, 2))
+                rows.clear()
 
     if bad:
         shown = ", ".join(str(n) for n in bad[:20])
         more = "" if len(bad) <= 20 else f" (+{len(bad) - 20} more)"
         raise RecordFormatError(f"{path}: malformed rows at lines {shown}{more}", lines=bad)
-    if len(rows) < 2:
-        raise RecordFormatError(f"{path}: need at least 2 samples, got {len(rows)}")
-    return np.array(rows)
+    spill.append(np.array(rows).reshape(-1, 2))
+    if len(spill) < 2:
+        raise RecordFormatError(f"{path}: need at least 2 samples, got {len(spill)}")
+    return spill
 
 
 def _all_numeric(cells: list[str]) -> bool:
@@ -332,8 +398,8 @@ class CalibrationResult:
 
 
 def calibrate_photon_number(
-    thermal: QuadratureRecord | RecordMoments,
-    vacuum: QuadratureRecord | RecordMoments,
+    thermal: QuadratureRecord,
+    vacuum: QuadratureRecord,
     det: DetectorModel,
 ) -> CalibrationResult:
     """Mean photon number of a thermal record, normalized to vacuum noise.
@@ -344,9 +410,6 @@ def calibrate_photon_number(
 
         n_hat = (s_th - s_vac) / (sigma^2 * eta_d).
 
-    Either record may be given as its ``RecordMoments``: the calibration
-    reads only the length, the pooled variance and the unit.
-
     Raises:
         UnitError: records are not in the same units.
         DegenerateDataError: thermal variance below the vacuum reference,
@@ -356,8 +419,7 @@ def calibrate_photon_number(
         raise UnitError(
             f"unit mismatch: thermal is {thermal.unit_flag!r}, vacuum is {vacuum.unit_flag!r}"
         )
-    thermal, vacuum = thermal.moments(), vacuum.moments()
-    s_th, s_vac = thermal.variance, vacuum.variance
+    s_th, s_vac = thermal.pooled_variance(), vacuum.pooled_variance()
     if s_vac <= 0.0:
         raise DegenerateDataError("vacuum record has zero variance")
     if s_th < s_vac:
@@ -373,7 +435,7 @@ def calibrate_photon_number(
     # Delta method on the two independent pooled variances; each has
     # var(s_hat) = 2 s^2 / dof = s^2 / (n - 1) for Gaussian data (two
     # quadratures pooled), so the relative errors add in quadrature.
-    stderr = k * (s_th / s_vac) * math.sqrt(1.0 / (thermal.n - 1) + 1.0 / (vacuum.n - 1))
+    stderr = k * (s_th / s_vac) * math.sqrt(1.0 / (len(thermal) - 1) + 1.0 / (len(vacuum) - 1))
     if not math.isfinite(stderr):
         raise DegenerateDataError("photon-number estimate overflows")
     return CalibrationResult(
@@ -398,7 +460,6 @@ class G2Result:
 def g2_estimate(
     record: QuadratureRecord,
     min_samples: int = 10_000,
-    rng: int = 0,
 ) -> G2Result:
     """Second-order intensity correlation from calibrated samples.
 
@@ -417,8 +478,6 @@ def g2_estimate(
         record: SNU-calibrated record (raw records are refused, the
             estimator is not scale invariant).
         min_samples: required record length.
-        rng: ignored; the estimate draws nothing.  Kept so that callers
-            that pass a seed keep working.
 
     Raises:
         UnitError: the record is not calibrated to SNU.
@@ -431,23 +490,21 @@ def g2_estimate(
     if n < min_samples:
         raise ParameterError(f"g2 needs at least {min_samples} samples, got {n}")
 
-    # Two passes over row slices, each forming Z a slice at a time in two
-    # reused buffers: the power sums of Z about zero, then the central
-    # moments.  Z^2 of a record near the float limits overflows; that is
-    # reported, not warned.
-    rows = _slices(n)
-    x, p = record.samples.T
+    # Two passes over the record's slices, each forming Z a slice at a time
+    # in two reused buffers: the power sums of Z about zero, then the
+    # central moments.  Z^2 of a record near the float limits overflows;
+    # that is reported, not warned.
     z = np.empty(min(n, SLICE_ROWS))
     tmp = np.empty_like(z)
 
-    def z_of(part: slice) -> np.ndarray:
-        zs = np.square(x[part], out=z[: part.stop - part.start])
-        zs += np.square(p[part], out=tmp[: len(zs)])
+    def z_of(part: np.ndarray) -> np.ndarray:
+        zs = np.square(part[:, 0], out=z[: len(part)])
+        zs += np.square(part[:, 1], out=tmp[: len(zs)])
         return zs
 
     with np.errstate(over="ignore", invalid="ignore"):
         s1 = s2 = 0.0
-        for part in rows:
+        for part in record.slices():
             zs = z_of(part)
             s1 += float(zs.sum())
             s2 += float(np.square(zs, out=tmp[: len(zs)]).sum())
@@ -464,7 +521,7 @@ def g2_estimate(
         # does.  In them, with alpha = a u, se^2 = (alpha^2 k2 + 2 alpha k3
         # + k4 - k2^2) / n.
         sums = [0.0, 0.0, 0.0]
-        for part in rows:
+        for part in record.slices():
             d = z_of(part)
             d -= mu
             d /= u
@@ -504,9 +561,9 @@ def export_histogram(
     # Every slice has the same edges, so the summed counts are those of
     # one call over the whole record, without its record-sized temporaries.
     counts = np.zeros((HISTOGRAM_BINS, HISTOGRAM_BINS))
-    for part in _slices(len(record)):
-        x, p = record.samples[part].T
-        c, x_edges, p_edges = np.histogram2d(x, p, bins=HISTOGRAM_BINS, range=[[-half, half], [-half, half]])
+    for part in record.slices():
+        bounds = [[-half, half], [-half, half]]
+        c, x_edges, p_edges = np.histogram2d(part[:, 0], part[:, 1], bins=HISTOGRAM_BINS, range=bounds)
         counts += c
     counts = counts.astype(np.int64)
     if path is not None:

@@ -152,7 +152,7 @@ def test_criterion_5_g2_pipeline():
         cal = calibrate_photon_number(thermal, vacuum, det)
         assert abs(cal.n_hat - 800.0) / 800.0 < 0.02
 
-        result = g2_estimate(thermal.in_snu(cal.shot_variance), rng=1)
+        result = g2_estimate(thermal.in_snu(cal.shot_variance))
         assert abs(result.g2 - 2.00) < 0.02
 
         displacement = math.sqrt(1000.0 / 2.0)
@@ -160,7 +160,7 @@ def test_criterion_5_g2_pipeline():
             RngStream(98).generator().standard_normal((count, 2)) + displacement,
             unit_flag="snu",
         )
-        control = g2_estimate(displaced, rng=2)
+        control = g2_estimate(displaced)
         assert abs(control.g2 - 1.0) < 0.02
         assert abs(control.g2 - displaced_gaussian_g2(1000)) < 5.0 * control.stderr
 
@@ -202,7 +202,6 @@ def test_criterion_6_determinism(tmp_path):
         np.savetxt(va, va_data, delimiter=",", header="x,p", comments="")
         for out in analyze_out:
             assert main([
-                "analyze", str(th), str(va), "--eta-d", "0.5", "--v-el", "0.35",
-                "--seed", "5", "--out", str(out),
+                "analyze", str(th), str(va), "--eta-d", "0.5", "--v-el", "0.35", "--out", str(out),
             ]) == 0
         assert analyze_out[0].read_bytes() == analyze_out[1].read_bytes()

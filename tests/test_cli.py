@@ -43,6 +43,7 @@ from passive_cvqkd.cli import (
     parse_axis,
     parse_config_file,
 )
+from passive_cvqkd.g2 import SLICE_ROWS
 from passive_cvqkd.simulate import analytic_moments
 
 
@@ -164,7 +165,10 @@ class TestParsing:
             ("optimize", "--count"),
             ("optimize", "--seed"),
             ("simulate", "--f"),
-            *(("analyze", flag) for flag in ("--gamma", "--eps0", "--f", "--n0", "--va", "--length", "--count")),
+            *(
+                ("analyze", flag)
+                for flag in ("--gamma", "--eps0", "--f", "--n0", "--va", "--length", "--count", "--seed")
+            ),
         ],
     )
     def test_flag_of_a_setting_the_command_does_not_read_is_usage_error(self, command, flag, capsys):
@@ -477,7 +481,7 @@ class TestAnalyze:
         hist = tmp_path / "hist.csv"
         code = main([
             "analyze", th, va, "--eta-d", "0.5", "--v-el", "0.35",
-            "--histogram", str(hist), "--seed", "3", "--out", str(out),
+            "--histogram", str(hist), "--out", str(out),
         ])
         assert code == EXIT_OK
         report = dict(line.split("=", 1) for line in out.read_text().splitlines())
@@ -545,34 +549,13 @@ class TestAnalyze:
         assert configured.read_bytes() == plain.read_bytes()
 
 
-    def test_analyze_works_in_about_three_record_sized_arrays(self, tmp_path):
-        """Peak traced allocation of ``analyze`` with a histogram, on a
-        200k-row thermal and a 200k-row vacuum record: ~3.1 times the 3.2 MB
-        sample array of one record (measured), the two loaded records and
-        the calibrated copy.  Keeping the raw records alive after
-        calibration, or binning or resampling the whole record in one call,
-        adds record-sized arrays to that."""
-        count = 200_000
-        thermal, vacuum = write_records(tmp_path, count=count, seed=97)
-        argv = ["analyze", thermal, vacuum, "--histogram", str(tmp_path / "hist.csv")]
-        with redirect_stdout(io.StringIO()):
-            assert main(argv) == EXIT_OK  # first-call caches are not the command's
-            tracemalloc.start()
-            try:
-                assert main(argv) == EXIT_OK
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak < 3.5 * 16 * count
-
     def test_analyze_holds_under_two_record_sized_arrays(self, tmp_path):
         """Peak traced allocation of ``analyze`` with a histogram, on a
-        200k-row thermal and a 200k-row vacuum record: ~1.4 times the 3.2 MB
-        sample array of one record (measured).  The vacuum is reduced to its
-        moments before the thermal loads, the thermal is scaled to
-        shot-noise units in place, and the rest are slice temporaries;
-        loading both records at once, or copying the thermal, adds a
-        record-sized array to that."""
+        200k-row thermal and a 200k-row vacuum record: ~0.57 times the 3.2 MB
+        sample array of one record (measured).  Both records stay in their
+        loaders' temporary files and are read a slice at a time, so the peak
+        is slice temporaries, most of them the histogram's; holding either
+        record in memory adds a record-sized array to that."""
         count = 200_000
         g = RngStream(98).generator()
         argv = ["analyze"]
@@ -590,6 +573,84 @@ class TestAnalyze:
             finally:
                 tracemalloc.stop()
         assert peak < 1.75 * 16 * count
+
+
+    @pytest.mark.parametrize("route", ["plain", "scanner"])
+    def test_analyze_peak_does_not_grow_with_the_record(self, tmp_path, route):
+        """Peak traced allocation of ``analyze`` with a histogram, on a
+        thermal record of 4e5 rows against one of 1e5 rows, with the same
+        20k-row vacuum: the records are read through their temporary files
+        a slice at a time, and a file that goes to the line scanner (here
+        by its byte-order mark) is parsed a read of text at a time."""
+        g = RngStream(99).generator()
+
+        def write(name, count, sigma, prefix=""):
+            path = tmp_path / name
+            rows = (sigma * g.standard_normal((count, 2))).tolist()
+            path.write_text(prefix + "".join(f"{x:.6g},{p:.6g}\n" for x, p in rows), encoding="utf-8")
+            return str(path)
+
+        vacuum = write("vacuum.csv", 20_000, 1.0)
+        peaks = []
+        for count in (100_000, 400_000):
+            thermal = write(f"thermal-{count}.csv", count, 3.0, "\ufeff" if route == "scanner" else "")
+            argv = ["analyze", thermal, vacuum, "--histogram", str(tmp_path / "hist.csv")]
+            with redirect_stdout(io.StringIO()):
+                if not peaks:
+                    assert main(argv) == EXIT_OK  # first-call caches are not the command's
+                tracemalloc.start()
+                try:
+                    assert main(argv) == EXIT_OK
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_a_spill_that_cannot_be_written_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("passive_cvqkd.g2.tempfile.TemporaryFile", full)
+        assert main(["analyze", *write_records(tmp_path, count=2_000, seed=96)]) == EXIT_IO
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_analyze_leaks_no_file_descriptor_in_dev_mode(self, tmp_path):
+        # Every run opens its records and their temporary files; an error
+        # part way through a file must close them too.  Dev mode makes an
+        # unclosed file a ResourceWarning, and -W error a printed error.
+        dirs = [tmp_path / name for name in ("good", "bad", "scanned")]
+        for d in dirs:
+            d.mkdir()
+        th, va = write_records(dirs[0], count=2_000, seed=96)
+        bad = _bad_in_the_third_slice("oops")(dirs[1])[1]
+        scanned = _bad_in_the_third_slice("inf", "\ufeff")(dirs[2])[1]
+        runs = [
+            [th, va, "--min-samples", "2", "--histogram", str(tmp_path / "hist.csv")],
+            [bad, va],
+            [scanned, va],
+            [th, scanned],
+            [str(tmp_path / "missing.csv"), va],
+        ]
+        script = (
+            "import io, os, sys, contextlib\n"
+            "from passive_cvqkd.cli import main\n"
+            "fds = lambda: len(os.listdir('/proc/self/fd'))\n"
+            f"runs = {runs!r}\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['analyze', *runs[0]])\n"
+            "    before = fds()\n"
+            "    codes = [main(['analyze', *argv]) for argv in runs]\n"
+            "print(codes, fds() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(passive_cvqkd.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.stdout == f"{[EXIT_OK, EXIT_DATA, EXIT_DATA, EXIT_DATA, EXIT_IO]} 0\n", run.stderr
+        assert [line.split(":")[0] for line in run.stderr.splitlines()] == ["error"] * 4
 
 
 class TestOptimizeCommand:
@@ -630,6 +691,31 @@ def _three_columns(tmp_path):
     return ["analyze", str(wide), va]
 
 
+def _bad_in_the_third_slice(cell, prefix="", vacuum_too=False):
+    """A thermal record of three slices and more whose line
+    ``2 * SLICE_ROWS + 11`` has ``cell`` for p, against a plain vacuum or,
+    with ``vacuum_too``, a vacuum with the same fault.  A ``prefix`` of a
+    byte-order mark sends the files to the line scanner."""
+
+    def make(tmp_path):
+        lines = ["x,p"] + [f"{0.001 * k!r},{-0.002 * k!r}" for k in range(2 * SLICE_ROWS + 100)]
+        lines[2 * SLICE_ROWS + 10] = f"1.5,{cell}"
+        th, va = write_records(tmp_path, count=2_000, seed=96)
+        for path in [th, va] if vacuum_too else [th]:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(prefix + "\n".join(lines) + "\n")
+        return ["analyze", th, va, "--min-samples", "2"]
+
+    return make
+
+
+def _vacuum_variance_overflows_and_thermal_is_malformed(tmp_path):
+    th, va = _bad_in_the_third_slice("oops")(tmp_path)[1:3]
+    with open(va, "w", encoding="utf-8") as fh:
+        fh.write("x,p\n1e300,0\n-1e300,0\n")
+    return ["analyze", th, va, "--min-samples", "2"]
+
+
 def _analyze(*flags):
     return lambda tmp_path: ["analyze", *write_records(tmp_path, count=2_000, seed=96), *flags]
 
@@ -648,14 +734,30 @@ def _at_100_photons_10_km(*argv):
         pytest.param(
             _analyze("--columns", "x,x"), EXIT_CONFIG, "columns must name two different columns", id="one-column-twice"
         ),
-        *(
-            pytest.param(
-                _analyze("--seed", seed), EXIT_CONFIG, "master_seed must be a 64-bit unsigned integer", id=f"seed-{seed}"
-            )
-            for seed in ("-1", str(2**64))
-        ),
         pytest.param(
             _analyze("--min-samples", "x"), EXIT_CONFIG, "--min-samples must be an integer, got 'x'", id="min-samples-x"
+        ),
+        *(
+            pytest.param(
+                _bad_in_the_third_slice(cell, prefix),
+                EXIT_DATA,
+                f"thermal.csv: malformed rows at lines {2 * SLICE_ROWS + 11}\n",
+                id=f"{cell}-in-the-third-slice-{route}",
+            )
+            for cell in ("oops", "inf")
+            for prefix, route in (("", "plain"), ("\ufeff", "scanner"))
+        ),
+        pytest.param(
+            _bad_in_the_third_slice("oops", vacuum_too=True),
+            EXIT_DATA,
+            f"vacuum.csv: malformed rows at lines {2 * SLICE_ROWS + 11}\n",
+            id="two-bad-files-report-the-vacuum",
+        ),
+        pytest.param(
+            _vacuum_variance_overflows_and_thermal_is_malformed,
+            EXIT_DATA,
+            "error: record variance overflows\n",
+            id="overflowing-vacuum-before-malformed-thermal",
         ),
         pytest.param(
             lambda _: ["optimize", "--n0", "0", "--length", "1"], EXIT_CONFIG, "photon number", id="no-photons"
@@ -790,7 +892,7 @@ _CELLS = st.one_of(
 )
 _BOM = b"\xef\xbb\xbf"
 _RARELY = st.sampled_from([False] * 7 + [True])
-_KEYS_ANALYZE = ["v_el", "eta_d", "seed"]
+_KEYS_ANALYZE = ["v_el", "eta_d"]
 
 
 def _hostile_bytes(draw, text):
@@ -838,7 +940,7 @@ def _config_bytes(draw):
     values sane or hostile, now and then a blank, comment or bad line, and a
     drawn line break."""
     values = st.sampled_from(["0.5", "0.1", "3"]) | _HOSTILE
-    pair = st.tuples(st.sampled_from(_KEYS_ANALYZE + ["gamma", "count"]), values)
+    pair = st.tuples(st.sampled_from(_KEYS_ANALYZE + ["gamma", "count", "seed"]), values)
     other = st.sampled_from(["# note", "", " ", "v_el", "bogus=1"])
     lines = draw(st.lists(st.one_of(pair.map("=".join), pair.map("=".join), other), max_size=6))
     return _hostile_bytes(draw, draw(st.sampled_from(["\n", "\r\n"])).join(lines))

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from passive_cvqkd import (
     ParameterError,
     QuadratureRecord,
     RecordFormatError,
-    RecordMoments,
     RngStream,
     UnitError,
     calibrate_photon_number,
@@ -32,6 +32,14 @@ from passive_cvqkd.cli import EXIT_DATA, main
 from passive_cvqkd.g2 import HISTOGRAM_BINS, HISTOGRAM_SPAN_SIGMAS, SLICE_ROWS, UNIT_SNU
 
 IV_DET = DetectorModel(0.5, 0.35)
+
+
+def spilled(record):
+    """The record with its samples in a temporary file, as the loader leaves them."""
+    spill = g2._Spill()
+    for part in record.slices():
+        spill.append(np.ascontiguousarray(part))
+    return QuadratureRecord(spill, record.unit_flag)
 
 
 def synthetic_records(n_mean, det, count, seed, scale=1.0):
@@ -161,14 +169,48 @@ class TestLoader:
 
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_line_count_is_one_more_than_the_line_breaks(self, tmp_path, end):
-        # The file is read 1 MiB at a time, and its first line break starts on
-        # the last byte of the first read: a \r\n is split between two reads.
-        data = b"9" * ((1 << 20) - 1) + end + end.join([b"1.0,2.0"] * 1000) + end
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "scanner"])
+    def test_line_break_split_between_two_reads_is_one_break(self, tmp_path, end, prefix):
+        # The text is read 1 MiB at a time, and the header's line break starts
+        # on the last byte of the first read: a \r\n is split between two
+        # reads.  Counted as two breaks, it would shift every line number.
+        header = prefix + b"x,p".ljust(g2._READ_BYTES - 1 - len(prefix))
+        rows = [b"%d.0,2.0" % i for i in range(1000)]
         path = tmp_path / "breaks.csv"
-        path.write_bytes(data)
-        breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
-        assert g2._plain_lines(str(path)) == breaks + 1
+        path.write_bytes(header + end + end.join(rows) + end)
+        assert load_quadrature_records(str(path)).samples.tolist() == [[float(i), 2.0] for i in range(1000)]
+        rows[500] = b"1.0,oops"
+        path.write_bytes(header + end + end.join(rows) + end)
+        with pytest.raises(RecordFormatError) as err:
+            load_quadrature_records(str(path))
+        assert err.value.lines == [502]
+
+    @pytest.mark.parametrize("byte", ["\x0c", "\x1f", "\xa0"], ids=["form-feed", "unit-separator", "no-break-space"])
+    def test_a_byte_only_the_scanner_reads_right_after_the_first_slice(self, tmp_path, byte):
+        # The byte sits in the third slice and past the first read of text,
+        # yet the whole file goes by the line scanner's rules: a form feed
+        # ends its line, float() refuses a unit separator that numpy would
+        # strip, and it strips a no-break space.
+        rows = RngStream(89).generator().standard_normal((3 * SLICE_ROWS, 2))
+        lines = ["x,p"] + [f"{x!r},{p!r}" for x, p in rows.tolist()]
+        lines[2 * SLICE_ROWS + 7] += byte
+        path = tmp_path / "late.csv"
+        for bad in (None, 2 * SLICE_ROWS + 100):
+            if bad is not None:
+                lines[bad] = "1.0,oops"
+            text = "\n".join(lines) + "\n"
+            assert len(text[: text.index(byte)].encode()) > g2._READ_BYTES
+            path.write_text(text, encoding="utf-8")
+            expected = reference_load(text, None)
+            try:
+                got = load_quadrature_records(str(path)).samples
+            except RecordFormatError as exc:
+                assert exc.lines == expected
+            else:
+                assert got.tobytes() == expected.tobytes() == rows.tobytes()
+        shift = byte == "\x0c"  # the bad line comes one later
+        assert expected == [2 * SLICE_ROWS + 8] * (byte == "\x1f") + [2 * SLICE_ROWS + 101 + shift]
+
 
 class TestRecord:
     @pytest.mark.parametrize(
@@ -199,32 +241,24 @@ class TestRecord:
         with pytest.raises(ParameterError, match="shot_variance must be > 0"):
             QuadratureRecord(np.ones((2, 2))).in_snu(shot_variance)
 
-    def test_moments_are_the_length_pooled_variance_and_unit(self):
-        record = QuadratureRecord([[1.0, 2.0], [3.0, -2.0], [2.0, 0.0]], UNIT_SNU)
-        moments = record.moments()
-        assert moments == RecordMoments(3, 2.5, UNIT_SNU)  # x has variance 1, p 4
-        assert moments.moments() is moments
-
-    @pytest.mark.parametrize(
-        "n, variance, unit_flag, message",
-        [
-            (1, 1.0, "raw", "n must be >= 2, got 1"),
-            (2, -1.0, "raw", "variance must be finite and >= 0, got -1.0"),
-            (2, math.nan, "raw", "variance must be finite and >= 0, got nan"),
-            (2, 1.0, "volts", "unit_flag must be 'raw' or 'snu', got 'volts'"),
-        ],
-        ids=["one-sample", "negative", "nan", "volts"],
-    )
-    def test_bad_moments_are_rejected(self, n, variance, unit_flag, message):
-        with pytest.raises(ParameterError, match=f"^{message}$"):
-            RecordMoments(n, variance, unit_flag)
-
-    def test_rescaling_in_place_gives_the_copy_in_the_same_array(self):
-        samples = RngStream(83).generator().standard_normal((1000, 2))
-        copied = QuadratureRecord(samples.copy()).in_snu(2.5)
-        scaled = QuadratureRecord(samples).in_snu(2.5, in_place=True)
-        assert scaled.samples is samples and scaled.unit_flag == UNIT_SNU
-        assert samples.tobytes() == copied.samples.tobytes()
+    @pytest.mark.parametrize("source", ["array", "spill"])
+    def test_rescaling_divides_each_slice_as_it_is_read(self, source):
+        # The record in shot-noise units shares the samples, so rescaling
+        # allocates a slice's read buffer, its divided copy and the check's
+        # temporaries; its values are those of one division of the array.
+        samples = RngStream(83).generator().standard_normal((200_000, 2))
+        record = QuadratureRecord(samples) if source == "array" else spilled(QuadratureRecord(samples))
+        record.in_snu(2.5)  # pays the first call's one-time costs
+        tracemalloc.start()
+        try:
+            scaled = record.in_snu(2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * SLICE_ROWS
+        assert scaled.unit_flag == UNIT_SNU and record.unit_flag == "raw"
+        assert scaled.samples.tobytes() == (samples / math.sqrt(2.5)).tobytes()
+        assert record.samples.tobytes() == samples.tobytes()
 
     def test_finiteness_check_allocates_no_more_than_a_slice(self):
         # A whole-array check of a 200k-row record would make a 0.40 MB
@@ -282,16 +316,15 @@ def plus_minus(value):
     "call, message",
     [
         (lambda: plus_minus(1e300).pooled_variance(), "record variance overflows"),
-        (lambda: plus_minus(1e300).moments(), "record variance overflows"),
         (
             lambda: calibrate_photon_number(plus_minus(1e150), plus_minus(1e-150), IV_DET),
             "photon-number estimate overflows",
         ),
         (lambda: g2_estimate(plus_minus(1e100).in_snu(1.0), min_samples=2), "g2 overflows"),
         (lambda: plus_minus(1e300).in_snu(1e-300), "record overflows in shot-noise units"),
-        (lambda: plus_minus(1e300).in_snu(1e-300, in_place=True), "record overflows in shot-noise units"),
+        (lambda: spilled(plus_minus(1e300)).in_snu(1e-300), "record overflows in shot-noise units"),
     ],
-    ids=["variance", "moments", "photon-number", "g2", "in-snu", "in-snu-in-place"],
+    ids=["variance", "photon-number", "g2", "in-snu", "in-snu-spilled"],
 )
 def test_overflow_is_degenerate_data(call, message):
     # A numpy RuntimeWarning fails the test, so none may be raised on the way.
@@ -407,12 +440,43 @@ def test_loader_agrees_with_the_documented_format(case):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    text=st.text(st.sampled_from(list("a,1 \t\r\n\x0b\x0c\x1c\x85\u2028\xe9\u20ac\U0001f600\ufeff")), max_size=30),
+    bom=st.booleans(),
+    junk_at=st.none() | st.integers(0, 60),
+    read_bytes=st.integers(1, 5),
+)
+@example(text="a\r\nb", bom=False, junk_at=None, read_bytes=2)
+@example(text="\xe9\xe9", bom=True, junk_at=4, read_bytes=2)
+def test_lines_read_a_few_bytes_at_a_time_are_those_of_the_whole_text(text, bom, junk_at, read_bytes):
+    # Reads of 1 to 5 bytes split every line break, \r\n pair and UTF-8
+    # character that a record's reads could split.
+    data = b"\xef\xbb\xbf" * bom + text.encode()
+    if junk_at is not None:
+        data = data[:junk_at] + b"\xff" + data[junk_at:]
+    try:
+        expected = list(enumerate(data.decode().removeprefix("\ufeff").splitlines(), start=1))
+    except UnicodeDecodeError as exc:
+        expected = f"not UTF-8 text (byte {exc.start})"
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(g2, "_READ_BYTES", read_bytes):
+        path = os.path.join(tmp, "records.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            got = list(g2._text_lines(path))
+        except RecordFormatError as exc:
+            got = str(exc).split(": ", 1)[1]
+    assert got == expected
+
+
 def calibrate_each_form(thermal, vacuum, det):
     """``calibrate_photon_number`` of two records, after checking that the
-    calibration with the vacuum's ``RecordMoments``, and with both records'
-    ones, gives the same result bit for bit or the same error and message."""
+    calibration with the vacuum spilled to a temporary file, as the loader
+    leaves it, and with both records spilled, gives the same result bit for
+    bit or the same error and message."""
     outcomes = []
-    for th, va in ((thermal, vacuum), (thermal, vacuum.moments()), (thermal.moments(), vacuum.moments())):
+    for th, va in ((thermal, vacuum), (thermal, spilled(vacuum)), (spilled(thermal), spilled(vacuum))):
         try:
             outcomes.append(repr(calibrate_photon_number(th, va, det)))
         except (UnitError, DegenerateDataError) as exc:
@@ -494,7 +558,7 @@ class TestG2:
     def test_thermal_statistics_give_two(self):
         thermal, vacuum = synthetic_records(800.0, IV_DET, 1_000_000, seed=70, scale=3.1)
         cal = calibrate_photon_number(thermal, vacuum, IV_DET)
-        result = g2_estimate(thermal.in_snu(cal.shot_variance), rng=1)
+        result = g2_estimate(thermal.in_snu(cal.shot_variance))
         assert abs(result.g2 - 2.0) < 0.02
         assert result.stderr > 0.0
         # mean of Z for per-quadrature variance s is 2 s
@@ -503,14 +567,14 @@ class TestG2:
     def test_any_zero_mean_gaussian_gives_two(self):
         for variance, seed in ((1.0, 71), (7.3, 72), (401.35, 73)):
             samples = math.sqrt(variance) * RngStream(seed).generator().standard_normal((200_000, 2))
-            result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=seed)
+            result = g2_estimate(QuadratureRecord(samples, UNIT_SNU))
             assert abs(result.g2 - 2.0) < 5.0 * result.stderr + 0.02
 
     def test_displaced_light_tends_to_one(self):
         g = RngStream(74).generator()
         displacement = math.sqrt(1000.0 / 2.0)  # per quadrature; total power 1000
         samples = g.standard_normal((1_000_000, 2)) + displacement
-        result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=2)
+        result = g2_estimate(QuadratureRecord(samples, UNIT_SNU))
         assert abs(result.g2 - displaced_gaussian_g2(1000)) < 5.0 * result.stderr
         assert abs(result.g2 - 1.0) < 0.02
 
@@ -523,26 +587,22 @@ class TestG2:
         # Samples on the unit circle put the mean of Z exactly at 1.
         samples = np.full((20_000, 2), math.sqrt(0.5))
         with pytest.raises(DegenerateDataError):
-            g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=3)
+            g2_estimate(QuadratureRecord(samples, UNIT_SNU))
 
     def test_sample_floor(self):
         samples = RngStream(77).generator().standard_normal((5_000, 2))
         with pytest.raises(ParameterError):
             g2_estimate(QuadratureRecord(samples, UNIT_SNU))
-        result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), min_samples=1_000, rng=4)
+        result = g2_estimate(QuadratureRecord(samples, UNIT_SNU), min_samples=1_000)
         assert math.isfinite(result.g2)
 
     def test_estimate_is_deterministic(self):
         samples = 2.0 * RngStream(78).generator().standard_normal((50_000, 2))
         record = QuadratureRecord(samples, UNIT_SNU)
-        a = g2_estimate(record, rng=9)
-        b = g2_estimate(record, rng=9)
+        a = g2_estimate(record)
+        b = g2_estimate(record)
         assert a.g2 == b.g2
         assert a.stderr == b.stderr
-
-    def test_rng_is_ignored(self):
-        record = QuadratureRecord(2.0 * RngStream(83).generator().standard_normal((20_000, 2)), UNIT_SNU)
-        assert g2_estimate(record, rng=1) == g2_estimate(record, rng=2) == g2_estimate(record)
 
     def test_traced_peak_does_not_grow_with_the_record(self):
         # The moments of Z are summed a slice at a time in two reused
@@ -566,8 +626,8 @@ class TestG2:
         big = 3.0 * g.standard_normal((400_000, 2))
         small_record = QuadratureRecord(big[:100_000], UNIT_SNU)
         big_record = QuadratureRecord(big, UNIT_SNU)
-        se_small = g2_estimate(small_record, rng=10).stderr
-        se_big = g2_estimate(big_record, rng=11).stderr
+        se_small = g2_estimate(small_record).stderr
+        se_big = g2_estimate(big_record).stderr
         assert abs(se_small / se_big - 2.0) < 0.2 * 2.0
 
     def test_stderr_is_the_spread_of_g2_over_independent_records(self):
@@ -586,8 +646,8 @@ class TestG2:
         # special case where it is); a displaced record shifts visibly
         # under rescaling, which is why uncalibrated input is refused.
         samples = RngStream(80).generator().standard_normal((100_000, 2)) + 3.0
-        raw = g2_estimate(QuadratureRecord(samples, UNIT_SNU), rng=12)
-        scaled = g2_estimate(QuadratureRecord(samples * 3.0, UNIT_SNU), rng=12)
+        raw = g2_estimate(QuadratureRecord(samples, UNIT_SNU))
+        scaled = g2_estimate(QuadratureRecord(samples * 3.0, UNIT_SNU))
         assert abs(raw.g2 - scaled.g2) > 0.01
 
 
