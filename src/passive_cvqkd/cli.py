@@ -15,23 +15,15 @@ import argparse
 import math
 import sys
 
+# Only .errors is imported here: each command imports the layers it calls in
+# its own body, so building the parser, --help and a usage error load no
+# layer and no numpy.
 from .errors import (
     DegenerateDataError,
     ParameterError,
     PhysicalityError,
     RecordFormatError,
     UnitError,
-)
-from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
-from .gaussian import DetectorModel
-from .keyrate import KeyRateReport, mutual_information, optimize_modulation, secure_key_rate
-from .noise import ChannelModel, ProtocolParams, total_noise
-from .simulate import (
-    SimConfig,
-    analytic_moments,
-    empirical_mi_stderr,
-    empirical_mutual_information,
-    run_protocol,
 )
 
 __all__ = ["main"]
@@ -174,6 +166,8 @@ def _read(settings: dict[str, str], keys: list[str]) -> dict:
 
 def _detectors(settings: dict[str, str], s: dict) -> tuple[DetectorModel, DetectorModel]:
     """Alice's (``_a``) and Bob's (``_b``) detector: a non-empty override, else the shared value in ``s``."""
+    from .gaussian import DetectorModel
+
     d = {key: s[key[:-2]] for key in ("eta_d_a", "v_el_a", "eta_d_b", "v_el_b")}
     d.update(_read(settings, [key for key in d if settings.get(key)]))
     return DetectorModel(d["eta_d_a"], d["v_el_a"]), DetectorModel(d["eta_d_b"], d["v_el_b"])
@@ -196,6 +190,9 @@ def _write_lines(lines: list[str], out_path: str | None) -> None:
 
 def compute_sweep(settings: dict[str, str]) -> list[tuple[float, float, KeyRateReport]]:
     """Evaluate the (n0, length) grid; one report per pair, optimized unless ``va`` is set."""
+    from .keyrate import optimize_modulation, secure_key_rate
+    from .noise import ChannelModel, ProtocolParams
+
     s = _read(settings, _KEYS["sweep"])
     det_a, det_b = _detectors(settings, s)
     if not s["n0"] or not s["length"]:
@@ -249,6 +246,16 @@ def _verdict_lines(name: str, analytic: float, empirical: float | None, stderr: 
 
 
 def cmd_simulate(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
+    from .keyrate import mutual_information
+    from .noise import ChannelModel, ProtocolParams, total_noise
+    from .simulate import (
+        SimConfig,
+        analytic_moments,
+        empirical_mi_stderr,
+        empirical_mutual_information,
+        run_protocol,
+    )
+
     s = _read(settings, _KEYS["simulate"])
     det_a, det_b = _detectors(settings, s)
     n0 = _single(s["n0"], "n0")
@@ -294,6 +301,9 @@ def cmd_simulate(args: argparse.Namespace, settings: dict[str, str]) -> list[str
 
 
 def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
+    from .g2 import calibrate_photon_number, export_histogram, g2_estimate, load_quadrature_records
+    from .gaussian import DetectorModel
+
     s = _read(settings, _KEYS["analyze"])
     min_samples = _parse("--min-samples", int, args.min_samples)
     det = DetectorModel(s["eta_d"], s["v_el"])
@@ -339,6 +349,9 @@ def cmd_analyze(args: argparse.Namespace, settings: dict[str, str]) -> list[str]
 
 
 def cmd_optimize(args: argparse.Namespace, settings: dict[str, str]) -> list[str]:
+    from .keyrate import optimize_modulation
+    from .noise import ChannelModel
+
     s = _read(settings, _KEYS["optimize"])
     det_a, det_b = _detectors(settings, s)
     n0 = _single(s["n0"], "n0")

@@ -10,11 +10,13 @@ class PhysicalityError(ArithmeticError):
 
 
 class RecordFormatError(ValueError):
-    """A data file could not be parsed; carries the offending line numbers."""
+    """A data file could not be parsed; carries the first offending line
+    numbers (at most 20) in ``lines`` and how many there are in ``count``."""
 
-    def __init__(self, message: str, lines: list[int] | None = None):
+    def __init__(self, message: str, lines: list[int] | None = None, count: int | None = None):
         super().__init__(message)
         self.lines = lines or []
+        self.count = len(self.lines) if count is None else count
 
 
 class DegenerateDataError(ValueError):

@@ -55,6 +55,8 @@ HISTOGRAM_SPAN_SIGMAS = 5.0
 SLICE_ROWS = 1 << 14
 # Bytes per read of a record file's raw text.
 _READ_BYTES = 1 << 16
+# Malformed lines a load error names; the rest are only counted.
+_SHOWN_BAD = 20
 
 
 def _slices(n: int) -> list[slice]:
@@ -332,7 +334,8 @@ def _text_lines(path: str) -> Iterator[tuple[int, str]]:
 
 def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
     """The line scanner: the definition of the record format.  It holds one
-    read of text and one slice of rows, and names every bad line."""
+    read of text and one slice of rows, and counts every bad line but keeps
+    the numbers of only the first ``_SHOWN_BAD``."""
     lines = _text_lines(path)
     first = next(((n, line) for n, line in lines if line.strip()), None)
     try:
@@ -344,33 +347,35 @@ def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
     needed = max(idx_x, idx_p) + 1
     spill = _Spill()
     rows: list[float] = []  # x, p, x, p, ... of the rows not yet spilled
-    bad: list[int] = []
+    bad: list[int] = []  # the first _SHOWN_BAD bad lines
+    n_bad = 0
     for lineno, line in itertools.chain([] if has_header or first is None else [first], lines):
         if not line.strip():
             continue
         cells = line.split(",")
-        if len(cells) < needed or (not has_header and len(cells) != 2):
-            bad.append(lineno)
-            continue
-        try:
-            x, p = float(cells[idx_x]), float(cells[idx_p])
-        except ValueError:
-            bad.append(lineno)
-            continue
-        if not (math.isfinite(x) and math.isfinite(p)):
-            bad.append(lineno)
-            continue
-        if not bad:  # after a bad line no row is kept
+        ok = len(cells) >= needed and (has_header or len(cells) == 2)
+        if ok:
+            try:
+                x, p = float(cells[idx_x]), float(cells[idx_p])
+            except ValueError:
+                ok = False
+            else:
+                ok = math.isfinite(x) and math.isfinite(p)
+        if not ok:
+            n_bad += 1
+            if n_bad <= _SHOWN_BAD:
+                bad.append(lineno)
+        elif not n_bad:  # after a bad line no row is kept
             rows.append(x)
             rows.append(p)
             if len(rows) == 2 * SLICE_ROWS:
                 spill.append(np.array(rows).reshape(-1, 2))
                 rows.clear()
 
-    if bad:
-        shown = ", ".join(str(n) for n in bad[:20])
-        more = "" if len(bad) <= 20 else f" (+{len(bad) - 20} more)"
-        raise RecordFormatError(f"{path}: malformed rows at lines {shown}{more}", lines=bad)
+    if n_bad:
+        shown = ", ".join(map(str, bad))
+        more = "" if n_bad <= _SHOWN_BAD else f" (+{n_bad - _SHOWN_BAD} more)"
+        raise RecordFormatError(f"{path}: malformed rows at lines {shown}{more}", lines=bad, count=n_bad)
     spill.append(np.array(rows).reshape(-1, 2))
     if len(spill) < 2:
         raise RecordFormatError(f"{path}: need at least 2 samples, got {len(spill)}")

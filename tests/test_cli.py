@@ -326,7 +326,7 @@ class TestSweep:
             built.append(length)
             return ChannelModel(gamma, length)
 
-        monkeypatch.setattr("passive_cvqkd.cli.ChannelModel", channel)
+        monkeypatch.setattr("passive_cvqkd.noise.ChannelModel", channel)
         rows = compute_sweep({**DEFAULTS, "va": "1"})
         assert len(rows) == 303
         assert built == [float(length) for length in range(101)]
@@ -386,7 +386,7 @@ class TestSimulate:
         plain, skipped = tmp_path / "plain.txt", tmp_path / "skipped.txt"
         argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000", "--out"]
         assert main(argv + [str(plain)]) == EXIT_OK
-        monkeypatch.setattr("passive_cvqkd.cli.empirical_mutual_information", degenerate)
+        monkeypatch.setattr("passive_cvqkd.simulate.empirical_mutual_information", degenerate)
         assert main(argv + [str(skipped)]) == EXIT_OK
         expected = report_of(plain)
         expected.update(I_AB_empirical="nan", I_AB_stderr="nan", I_AB_z="nan", I_AB_verdict="SKIP")
@@ -405,7 +405,7 @@ class TestSimulate:
 
     def test_zero_stderr_disagreement_fails(self, tmp_path, monkeypatch):
         out = tmp_path / "report.txt"
-        monkeypatch.setattr("passive_cvqkd.cli.empirical_mutual_information", lambda summary: 1e-3)
+        monkeypatch.setattr("passive_cvqkd.simulate.empirical_mutual_information", lambda summary: 1e-3)
         argv = ["simulate", "--n0", "340", "--va", "0", "--length", "10", "--count", "20000", "--out", str(out)]
         assert main(argv) == EXIT_OK
         report = report_of(out)
@@ -423,7 +423,7 @@ class TestSimulate:
         plain, shifted_out = tmp_path / "plain.txt", tmp_path / "shifted.txt"
         argv = ["simulate", "--n0", "340", "--va", "0", "--length", "10", "--count", "20000", "--out"]
         assert main(argv + [str(plain)]) == EXIT_OK
-        monkeypatch.setattr("passive_cvqkd.cli.analytic_moments", shifted)
+        monkeypatch.setattr("passive_cvqkd.simulate.analytic_moments", shifted)
         assert main(argv + [str(shifted_out)]) == EXIT_OK
         report = report_of(shifted_out)
         assert report_of(plain)["moments_verdict"] == "PASS"
@@ -1008,14 +1008,43 @@ def test_analyze_exits_cleanly_over_its_input_domain(
     assert [w.category for w in caught] == []
 
 
-def test_importing_the_cli_leaves_the_process_pool_unloaded():
-    # Only a pooled simulate run needs concurrent.futures; the import costs
-    # every other command memory and start-up time.
+@pytest.mark.parametrize(
+    "argv, code, unloaded",
+    [
+        (None, None, ["numpy", "concurrent"]),
+        (["sweep", "--bogus", "1"], EXIT_CONFIG, ["numpy", "concurrent"]),
+        (["sweep", "--n0", "500", "--length", "0:20:10"], EXIT_OK, ["passive_cvqkd.g2", "passive_cvqkd.simulate"]),
+        (["optimize", "--n0", "500", "--length", "20"], EXIT_OK, ["passive_cvqkd.g2", "passive_cvqkd.simulate"]),
+        (["analyze"], EXIT_OK, ["passive_cvqkd.keyrate", "passive_cvqkd.simulate"]),
+    ],
+    ids=["parser", "usage-error", "sweep", "optimize", "analyze"],
+)
+def test_a_command_imports_only_its_layers(tmp_path, argv, code, unloaded):
+    # Each command imports the layers it calls when it runs, so building the
+    # parser (and --help, and a usage error) loads no numpy, and only a
+    # pooled simulate run needs concurrent.futures.  A fresh interpreter
+    # runs the command, then lists the modules it must not have loaded.
+    if argv == ["analyze"]:
+        argv += write_records(tmp_path)
+    script = (
+        "import contextlib, io, sys\n"
+        "from passive_cvqkd.cli import build_parser, main\n"
+        f"argv, unloaded = {argv!r}, {unloaded!r}\n"
+        "code = None\n"
+        "if argv is None:\n"
+        "    build_parser()\n"
+        "else:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "print(code, sorted(m for m in sys.modules if any(m == u or m.startswith(u + '.') for u in unloaded)))\n"
+    )
     src = os.path.dirname(os.path.dirname(passive_cvqkd.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, passive_cvqkd.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout == "[]\n"
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == f"{code} []\n"
 
 
 USAGE_ERRORS = [

@@ -81,6 +81,31 @@ class TestLoader:
         assert err.value.lines == [58]
         assert "58" in str(err.value)
 
+    def test_many_malformed_rows_keep_twenty_line_numbers_and_a_count(self, tmp_path):
+        # The error names the first 20 bad lines and counts the rest, so the
+        # scanner's memory does not grow with the bad rows.  Both files span
+        # several reads of text, so they hold the same text at a time.
+        shown = ", ".join(str(n) for n in range(2, 22))
+        peaks = []
+        for n in (20_000, 200_000):
+            path = tmp_path / f"bad-{n}.csv"
+            path.write_text("x,p\n" + "1.0,oops\n" * n)
+            assert path.stat().st_size > 2 * g2._READ_BYTES
+            if not peaks:
+                with pytest.raises(RecordFormatError):
+                    load_quadrature_records(str(path))  # first-call caches are not the scanner's
+            tracemalloc.start()
+            try:
+                with pytest.raises(RecordFormatError) as err:
+                    load_quadrature_records(str(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert err.value.lines == list(range(2, 22))
+            assert err.value.count == n
+            assert str(err.value) == f"{path}: malformed rows at lines {shown} (+{n - 20} more)"
+        assert peaks[1] < 1.25 * peaks[0]
+
     def test_wrong_column_count_is_malformed(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("1.0,2.0\n1.0,2.0,3.0\n4.0,5.0\n")
@@ -205,7 +230,8 @@ class TestLoader:
             try:
                 got = load_quadrature_records(str(path)).samples
             except RecordFormatError as exc:
-                assert exc.lines == expected
+                assert exc.lines == expected[:20]
+                assert exc.count == len(expected)
             else:
                 assert got.tobytes() == expected.tobytes() == rows.tobytes()
         shift = byte == "\x0c"  # the bad line comes one later
@@ -434,7 +460,8 @@ def test_loader_agrees_with_the_documented_format(case):
         try:
             got = load_quadrature_records(path, columns=columns).samples
         except RecordFormatError as exc:
-            assert exc.lines == expected
+            assert exc.lines == expected[:20]
+            assert exc.count == len(expected)
         else:
             assert isinstance(expected, np.ndarray)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
