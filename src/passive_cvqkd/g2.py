@@ -48,12 +48,12 @@ UNIT_SNU = "snu"
 DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
-# Rows per slice wherever a record is read or reduced: the loader's
-# np.loadtxt calls and spill writes, the finiteness checks, the variance,
-# the moments of Z and the np.histogram2d calls.  Their temporaries grow
-# with the rows of a slice, not of the record.
+# Rows per slice wherever a record is read or reduced: the finiteness
+# checks, the variance, the moments of Z and the np.histogram2d calls.
+# Their temporaries grow with the rows of a slice, not of the record.
 SLICE_ROWS = 1 << 14
-# Bytes per read of a record file's raw text.
+# Bytes per read of a record file's raw text; the loader converts and
+# spills the rows of one read at a time.
 _READ_BYTES = 1 << 16
 # Malformed lines a load error names; the rest are only counted.
 _SHOWN_BAD = 20
@@ -206,14 +206,17 @@ def load_quadrature_records(
     row aborts the load, naming its line number.  A leading UTF-8
     byte-order mark is ignored.
 
-    Plain ASCII files are parsed by numpy's C tokenizer; when it refuses
-    a file, or a file has bytes on which the tokenizer and the rules
-    above could disagree, the line scanner reads it instead.  The scanner
-    defines the format, names the bad lines and accepts the rare cells
-    only ``float`` takes (``1_000``, say).  Either way the values are
-    bit-identical.  The rows go a slice at a time into an anonymous
-    temporary file of 16 bytes a row, which backs the returned record, so
-    a load holds one slice and one read of text at any record length.
+    The file is opened once and its text read once, 64 KiB at a time, so
+    ``path`` may be a pipe.  numpy converts the rows of each read whose
+    text is ASCII without a ``\\x1f``, the one such byte that numpy strips
+    from a cell and ``float`` refuses.  A read that numpy refuses, or that
+    gives other than two finite columns, and every read after a malformed
+    line, go by the rules above, line by line: they name the bad lines and
+    accept the rare cells only ``float`` takes (``1_000``, say).  Either
+    way the values are bit-identical.  Each read's rows go into an
+    anonymous temporary file of 16 bytes a row, which backs the returned
+    record, so a load holds one read of text and its rows at any record
+    length.
 
     Raises:
         ParameterError: ``columns`` names one column twice.
@@ -225,10 +228,7 @@ def load_quadrature_records(
     """
     if columns is not None and columns[0] == columns[1]:
         raise ParameterError(f"columns must name two different columns, got {columns}")
-    spill = _load_plain(path, columns) if _is_plain(path) else None
-    if spill is None:
-        spill = _scan(path, columns)
-    return QuadratureRecord(spill, unit_flag=UNIT_RAW)
+    return QuadratureRecord(_scan(path, columns), unit_flag=UNIT_RAW)
 
 
 def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, path: str) -> tuple[bool, int, int]:
@@ -254,54 +254,18 @@ def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, pa
         raise RecordFormatError(f"columns {columns} not found in header {header} of {path}") from None
 
 
-# ASCII bytes that str.splitlines() breaks lines at, or that numpy strips
-# from a cell and float() does not; a file with any of them, or with any
-# non-ASCII byte, goes to the line scanner.
-_SCANNER_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # The line breaks of str.splitlines().
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _is_plain(path: str) -> bool:
-    """Whether numpy's tokenizer and the line scanner split ``path`` alike:
-    it is ASCII and has none of the bytes in ``_SCANNER_ONLY``."""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_READ_BYTES):
-            if not chunk.isascii() or any(b in chunk for b in _SCANNER_ONLY):
-                return False
-    return True
-
-
-def _load_plain(path: str, columns: tuple[str, str] | None) -> _Spill | None:
-    """The rows of a plain ASCII file, parsed by ``np.loadtxt`` a slice at
-    a time into a spill; None if numpy refuses the file, a selected cell
-    is not finite or there are fewer than 2 rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = next((line for line in iter(fh.readline, "") if line.strip()), None)
-        has_header, idx_x, idx_p = _resolve_columns(first, columns, path)
-        if not has_header:
-            fh.seek(0)
-        usecols = (idx_x, idx_p) if has_header else None
-        spill = _Spill()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
-                slice_args = dict(delimiter=",", comments=None, usecols=usecols, ndmin=2, max_rows=SLICE_ROWS)
-                while len(part := np.loadtxt(fh, **slice_args)):
-                    if part.shape[1] != 2 or not np.isfinite(part).all():
-                        return None
-                    spill.append(part)
-        except ValueError:
-            return None
-    return spill if len(spill) >= 2 else None
-
-
-def _text_lines(path: str) -> Iterator[tuple[int, str]]:
-    """The number and text of each line of ``path``, as ``str.splitlines``
-    splits its whole UTF-8 text with a leading byte-order mark removed,
-    decoded ``_READ_BYTES`` at a time."""
+def _text_lines(path: str) -> Iterator[tuple[int, list[str], bool]]:
+    """The lines of ``path``, as ``str.splitlines`` splits its whole UTF-8
+    text with a leading byte-order mark removed, decoded ``_READ_BYTES`` at
+    a time.  For each read: the number of its first line, its lines, and
+    whether its text is plain, that is ASCII without a ``\\x1f``, so that
+    numpy and ``float`` read its cells alike."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    offset, carry, lineno, at_start = 0, "", 0, True
+    offset, carry, lineno, at_start = 0, "", 1, True
     with open(path, "rb") as fh:
         while True:
             chunk = fh.read(_READ_BYTES)
@@ -325,58 +289,88 @@ def _text_lines(path: str) -> Iterator[tuple[int, str]]:
                 carry = lines.pop()
             elif chunk and text.endswith("\r"):
                 carry = lines.pop() + "\r"
-            for line in lines:
-                lineno += 1
-                yield lineno, line
+            yield lineno, lines, text.isascii() and "\x1f" not in text
+            lineno += len(lines)
             if not chunk:
                 return
 
 
-def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
-    """The line scanner: the definition of the record format.  It holds one
-    read of text and one slice of rows, and counts every bad line but keeps
-    the numbers of only the first ``_SHOWN_BAD``."""
-    lines = _text_lines(path)
-    first = next(((n, line) for n, line in lines if line.strip()), None)
+def _convert(lines: list[str], usecols: tuple[int, int] | None) -> np.ndarray | None:
+    """numpy's conversion of plain lines to ``(k, 2)`` rows; None if numpy
+    refuses them or they give other than two finite columns."""
     try:
-        has_header, idx_x, idx_p = _resolve_columns(None if first is None else first[1], columns, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
+            part = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    return part if part.shape[1] == 2 and np.isfinite(part).all() else None
+
+
+def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
+    """The one pass over a record's text: the header rule, then numpy's
+    conversion of each plain read and the line rules for any other.  It
+    holds one read of text and its rows, and counts every bad line but
+    keeps the numbers of only the first ``_SHOWN_BAD``."""
+    reads = _text_lines(path)  # it yields at least one read
+    first = None
+    for start, lines, plain in reads:
+        first = next((i for i, line in enumerate(lines) if line.strip()), None)
+        if first is not None:
+            break
+    try:
+        has_header, idx_x, idx_p = _resolve_columns(None if first is None else lines[first], columns, path)
     except RecordFormatError:
-        for _ in lines:
+        for _ in reads:
             pass  # text that is not UTF-8 is reported first, wherever it is
         raise
+    skip = (first or 0) + has_header
     needed = max(idx_x, idx_p) + 1
+    usecols = (idx_x, idx_p) if has_header else None
     spill = _Spill()
-    rows: list[float] = []  # x, p, x, p, ... of the rows not yet spilled
     bad: list[int] = []  # the first _SHOWN_BAD bad lines
     n_bad = 0
-    for lineno, line in itertools.chain([] if has_header or first is None else [first], lines):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        ok = len(cells) >= needed and (has_header or len(cells) == 2)
-        if ok:
-            try:
-                x, p = float(cells[idx_x]), float(cells[idx_p])
-            except ValueError:
-                ok = False
-            else:
-                ok = math.isfinite(x) and math.isfinite(p)
-        if not ok:
-            n_bad += 1
-            if n_bad <= _SHOWN_BAD:
-                bad.append(lineno)
-        elif not n_bad:  # after a bad line no row is kept
-            rows.append(x)
-            rows.append(p)
-            if len(rows) == 2 * SLICE_ROWS:
-                spill.append(np.array(rows).reshape(-1, 2))
-                rows.clear()
+
+    def by_rules(lines: list[str], start: int) -> np.ndarray:
+        """The rows of one read by the line rules, counting its bad lines.
+        A small function of its own because tracemalloc, which the memory
+        tests run, looks up each allocation's line number in time that
+        grows with its offset in the function's bytecode."""
+        nonlocal n_bad
+        rows: list[float] = []  # x, p, x, p, ...
+        for lineno, line in enumerate(lines, start):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            ok = len(cells) >= needed and (has_header or len(cells) == 2)
+            if ok:
+                try:
+                    x, p = float(cells[idx_x]), float(cells[idx_p])
+                except ValueError:
+                    ok = False
+                else:
+                    ok = math.isfinite(x) and math.isfinite(p)
+            if not ok:
+                n_bad += 1
+                if n_bad <= _SHOWN_BAD:
+                    bad.append(lineno)
+            elif not n_bad:  # after a bad line no row is kept
+                rows.append(x)
+                rows.append(p)
+        return np.array(rows).reshape(-1, 2)
+
+    # chain() holds its arguments to the end; an exhausted iter() lets go of the first read.
+    for start, lines, plain in itertools.chain(iter([(start + skip, lines[skip:], plain)]), reads):
+        part = _convert(lines, usecols) if plain and not n_bad else None
+        if part is None:
+            part = by_rules(lines, start)
+        if not n_bad:
+            spill.append(part)
 
     if n_bad:
         shown = ", ".join(map(str, bad))
         more = "" if n_bad <= _SHOWN_BAD else f" (+{n_bad - _SHOWN_BAD} more)"
         raise RecordFormatError(f"{path}: malformed rows at lines {shown}{more}", lines=bad, count=n_bad)
-    spill.append(np.array(rows).reshape(-1, 2))
     if len(spill) < 2:
         raise RecordFormatError(f"{path}: need at least 2 samples, got {len(spill)}")
     return spill

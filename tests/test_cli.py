@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -575,13 +576,13 @@ class TestAnalyze:
         assert peak < 1.75 * 16 * count
 
 
-    @pytest.mark.parametrize("route", ["plain", "scanner"])
+    @pytest.mark.parametrize("route", ["ascii", "byte-order-mark"])
     def test_analyze_peak_does_not_grow_with_the_record(self, tmp_path, route):
         """Peak traced allocation of ``analyze`` with a histogram, on a
         thermal record of 4e5 rows against one of 1e5 rows, with the same
         20k-row vacuum: the records are read through their temporary files
-        a slice at a time, and a file that goes to the line scanner (here
-        by its byte-order mark) is parsed a read of text at a time."""
+        a slice at a time, and each file, with a byte-order mark or
+        without, is parsed a read of text at a time."""
         g = RngStream(99).generator()
 
         def write(name, count, sigma, prefix=""):
@@ -593,7 +594,7 @@ class TestAnalyze:
         vacuum = write("vacuum.csv", 20_000, 1.0)
         peaks = []
         for count in (100_000, 400_000):
-            thermal = write(f"thermal-{count}.csv", count, 3.0, "\ufeff" if route == "scanner" else "")
+            thermal = write(f"thermal-{count}.csv", count, 3.0, "\ufeff" if route == "byte-order-mark" else "")
             argv = ["analyze", thermal, vacuum, "--histogram", str(tmp_path / "hist.csv")]
             with redirect_stdout(io.StringIO()):
                 if not peaks:
@@ -613,6 +614,33 @@ class TestAnalyze:
         monkeypatch.setattr("passive_cvqkd.g2.tempfile.TemporaryFile", full)
         assert main(["analyze", *write_records(tmp_path, count=2_000, seed=96)]) == EXIT_IO
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_records_may_be_pipes(self, tmp_path, capsys):
+        # Each record's text is read once, so records given as FIFOs give
+        # the report of the same records given as files.
+        files = write_records(tmp_path, count=20_000, seed=97)
+        assert main(["analyze", *files]) == EXIT_OK
+        want = capsys.readouterr().out
+        fifos = [str(tmp_path / f"{name}.fifo") for name in ("thermal", "vacuum")]
+        done = threading.Event()
+        writers = []
+        for fifo, path in zip(fifos, files):
+            os.mkfifo(fifo)
+            with open(path, "rb") as fh:
+                writers.append(threading.Thread(target=_serve_fifo, args=(fifo, fh.read(), done)))
+            writers[-1].start()
+        try:
+            code = main(["analyze", *fifos])
+        finally:
+            done.set()
+            for writer in writers:
+                writer.join(timeout=10)
+        assert not any(writer.is_alive() for writer in writers)
+        got = capsys.readouterr()
+        assert code == EXIT_OK, got.err
+        without_files = [[line for line in out.splitlines() if not re.match(r"\w+_file=", line)] for out in (got.out, want)]
+        assert without_files[0] == without_files[1]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_analyze_leaks_no_file_descriptor_in_dev_mode(self, tmp_path):
@@ -691,11 +719,36 @@ def _three_columns(tmp_path):
     return ["analyze", str(wide), va]
 
 
+def _serve_fifo(fifo, data, done):
+    """Write ``data`` once into the FIFO ``fifo`` as its first reader reads
+    it, then, until ``done`` is set, let a reader that opens the FIFO again
+    read end-of-file, as from a drained pipe, instead of waiting for a
+    writer.  Nothing blocks for longer than the reader reads."""
+    fd = None
+    while fd is None and not done.is_set():
+        try:
+            fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)  # ENXIO until a reader opens it
+        except OSError:
+            done.wait(0.01)
+    if fd is not None:
+        os.set_blocking(fd, True)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass  # the reader stopped before the end
+    while not done.wait(0.01):
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+
+
 def _bad_in_the_third_slice(cell, prefix="", vacuum_too=False):
     """A thermal record of three slices and more whose line
     ``2 * SLICE_ROWS + 11`` has ``cell`` for p, against a plain vacuum or,
-    with ``vacuum_too``, a vacuum with the same fault.  A ``prefix`` of a
-    byte-order mark sends the files to the line scanner."""
+    with ``vacuum_too``, a vacuum with the same fault.  A ``prefix`` goes
+    before the text of each faulty file."""
 
     def make(tmp_path):
         lines = ["x,p"] + [f"{0.001 * k!r},{-0.002 * k!r}" for k in range(2 * SLICE_ROWS + 100)]
@@ -745,7 +798,7 @@ def _at_100_photons_10_km(*argv):
                 id=f"{cell}-in-the-third-slice-{route}",
             )
             for cell in ("oops", "inf")
-            for prefix, route in (("", "plain"), ("\ufeff", "scanner"))
+            for prefix, route in (("", "ascii"), ("\ufeff", "byte-order-mark"))
         ),
         pytest.param(
             _bad_in_the_third_slice("oops", vacuum_too=True),

@@ -175,17 +175,21 @@ class TestLoader:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_plain_file_of_several_slices_loads_without_the_line_scanner(self, tmp_path, monkeypatch, end):
-        # The plain path fills one array a slice at a time, sized by a count
-        # of the file's line breaks; a bad row in a later slice still goes to
-        # the line scanner, which names its line in the whole file.
+        # numpy converts every read of a plain file, whatever its line
+        # breaks; a bad row in a later slice goes by the line rules, which
+        # name its line in the whole file.
         rows = RngStream(84).generator().standard_normal((2 * SLICE_ROWS + 5, 2))
         lines = ["x,p"] + [f"{x!r},{p!r}" for x, p in rows.tolist()]
         lines.insert(SLICE_ROWS, "")
         path = tmp_path / "long.csv"
         path.write_bytes(end.join(lines).encode())
+        converted = []
+        convert = g2._convert
         with monkeypatch.context() as m:
-            m.setattr(g2, "_scan", None)
+            m.setattr(g2, "_convert", lambda *args: converted.append(convert(*args)) or converted[-1])
             assert load_quadrature_records(str(path)).samples.tobytes() == rows.tobytes()
+        assert len(converted) > path.stat().st_size // g2._READ_BYTES
+        assert all(part is not None for part in converted)
         lines[2 * SLICE_ROWS] = "1.0,oops"
         path.write_bytes(end.join(lines).encode())
         with pytest.raises(RecordFormatError) as err:
@@ -193,10 +197,27 @@ class TestLoader:
         assert err.value.lines == [2 * SLICE_ROWS + 1]
 
 
+    @pytest.mark.parametrize("kind", ["ascii", "byte-order-mark", "bad-row-in-the-third-slice"])
+    def test_each_file_is_opened_once_per_load(self, tmp_path, monkeypatch, kind):
+        # The text is read once, so a record may be a pipe.
+        rows = RngStream(85).generator().standard_normal((3 * SLICE_ROWS, 2))
+        lines = ["x,p"] + [f"{x!r},{p!r}" for x, p in rows.tolist()]
+        if kind == "bad-row-in-the-third-slice":
+            lines[2 * SLICE_ROWS + 10] = "1.0,oops"
+        path = tmp_path / "records.csv"
+        path.write_text("\ufeff" * (kind == "byte-order-mark") + "\n".join(lines) + "\n", encoding="utf-8")
+        opened = []
+        monkeypatch.setattr(g2, "open", lambda *args, **kw: opened.append(args[0]) or open(*args, **kw), raising=False)
+        try:
+            assert load_quadrature_records(str(path)).samples.tobytes() == rows.tobytes()
+        except RecordFormatError as exc:
+            assert kind == "bad-row-in-the-third-slice" and exc.lines == [2 * SLICE_ROWS + 11]
+        assert opened == [str(path)]
+
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "scanner"])
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["ascii", "byte-order-mark"])
     def test_line_break_split_between_two_reads_is_one_break(self, tmp_path, end, prefix):
-        # The text is read 1 MiB at a time, and the header's line break starts
+        # The text is read 64 KiB at a time, and the header's line break starts
         # on the last byte of the first read: a \r\n is split between two
         # reads.  Counted as two breaks, it would shift every line number.
         header = prefix + b"x,p".ljust(g2._READ_BYTES - 1 - len(prefix))
@@ -213,7 +234,7 @@ class TestLoader:
     @pytest.mark.parametrize("byte", ["\x0c", "\x1f", "\xa0"], ids=["form-feed", "unit-separator", "no-break-space"])
     def test_a_byte_only_the_scanner_reads_right_after_the_first_slice(self, tmp_path, byte):
         # The byte sits in the third slice and past the first read of text,
-        # yet the whole file goes by the line scanner's rules: a form feed
+        # and the read that holds it goes by the line rules: a form feed
         # ends its line, float() refuses a unit separator that numpy would
         # strip, and it strips a no-break space.
         rows = RngStream(89).generator().standard_normal((3 * SLICE_ROWS, 2))
@@ -437,21 +458,9 @@ def reference_load(text, columns):
     return np.array(rows)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(record_files())
-@example(("1,2\n3,4\n5,6\n", None))
-@example(("1,2,3\n4,5,6\n", None))
-@example(("1,2\n", None))
-@example((" \n1_000,2\n3,4\n", None))
-@example(("1,2\nnan,4\n5,6\n", None))
-@example(("1,2\n3,4#x\n", None))
-@example(("1.5\x1f,2\n3,4\n", None))
-@example(("c0,c1,c2\n1,2\x1c,3\n4,5,6\n", ("c0", "c1")))
-@example(("c0,c1,c2\n1,2\u2028,3\n4,5,6\n", ("c0", "c1")))
-@example(("\ufeff1,2\n3,4\n", None))
-@example(("\ufeffc0,c1\n1,2\n3,4\n", ("c1", "c0")))
-def test_loader_agrees_with_the_documented_format(case):
-    text, columns = case
+def agrees_with_the_documented_format(text, columns):
+    """Load ``text`` from a file and check it against ``reference_load``:
+    the same values bit for bit, or the same bad lines and count."""
     expected = reference_load(text, columns)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.csv")
@@ -468,6 +477,34 @@ def test_loader_agrees_with_the_documented_format(case):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(record_files())
+@example(("1,2\n3,4\n5,6\n", None))
+@example(("1,2,3\n4,5,6\n", None))
+@example(("1,2\n", None))
+@example((" \n1_000,2\n3,4\n", None))
+@example(("1,2\nnan,4\n5,6\n", None))
+@example(("1,2\n3,4#x\n", None))
+@example(("1.5\x1f,2\n3,4\n", None))
+@example(("c0,c1,c2\n1,2\x1c,3\n4,5,6\n", ("c0", "c1")))
+@example(("c0,c1,c2\n1,2\u2028,3\n4,5,6\n", ("c0", "c1")))
+@example(("\ufeff1,2\n3,4\n", None))
+@example(("\ufeffc0,c1\n1,2\n3,4\n", ("c1", "c0")))
+def test_loader_agrees_with_the_documented_format(case):
+    agrees_with_the_documented_format(*case)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(record_files(), st.integers(8, 64))
+@example(("x,p\n1.0,2.0\n3.0,4.0\n1.5\x1f,2.0\n5.0,6.0\n", None), 8)
+@example(("x,p\n1.0,2.0\n3.0,4.0\n5.0,oops\n7.0,8.0\n9.0,1_0\n", None), 12)
+def test_loader_agrees_with_the_documented_format_a_few_bytes_at_a_time(case, read_bytes):
+    # Reads of 8 to 64 bytes put clean and flawed rows in different reads,
+    # so numpy converts some reads and the line rules take the others.
+    with mock.patch.object(g2, "_READ_BYTES", read_bytes):
+        agrees_with_the_documented_format(*case)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     text=st.text(st.sampled_from(list("a,1 \t\r\n\x0b\x0c\x1c\x85\u2028\xe9\u20ac\U0001f600\ufeff")), max_size=30),
     bom=st.booleans(),
@@ -476,9 +513,12 @@ def test_loader_agrees_with_the_documented_format(case):
 )
 @example(text="a\r\nb", bom=False, junk_at=None, read_bytes=2)
 @example(text="\xe9\xe9", bom=True, junk_at=4, read_bytes=2)
+@example(text="1\x1f,2\n3,4", bom=False, junk_at=None, read_bytes=3)
 def test_lines_read_a_few_bytes_at_a_time_are_those_of_the_whole_text(text, bom, junk_at, read_bytes):
     # Reads of 1 to 5 bytes split every line break, \r\n pair and UTF-8
-    # character that a record's reads could split.
+    # character that a record's reads could split.  The lines of all reads,
+    # numbered from each read's first, are those of the whole text, and a
+    # read called plain has only ASCII lines without a \x1f.
     data = b"\xef\xbb\xbf" * bom + text.encode()
     if junk_at is not None:
         data = data[:junk_at] + b"\xff" + data[junk_at:]
@@ -491,7 +531,9 @@ def test_lines_read_a_few_bytes_at_a_time_are_those_of_the_whole_text(text, bom,
         with open(path, "wb") as fh:
             fh.write(data)
         try:
-            got = list(g2._text_lines(path))
+            reads = list(g2._text_lines(path))
+            got = [(start + i, line) for start, lines, _ in reads for i, line in enumerate(lines)]
+            assert all(line.isascii() and "\x1f" not in line for _, lines, plain in reads if plain for line in lines)
         except RecordFormatError as exc:
             got = str(exc).split(": ", 1)[1]
     assert got == expected
