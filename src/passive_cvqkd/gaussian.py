@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,13 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_index,))
         return np.random.default_rng(seq)
+
+    def stdlib_random(self) -> random.Random:
+        """Fresh stdlib generator of this stream, independent of
+        :meth:`generator`'s.  Its str seed goes through ``random``'s own
+        sha512, so it does not depend on ``PYTHONHASHSEED``, and using it
+        imports no ``numpy.random``."""
+        return random.Random(f"{self.master_seed}:{self.stream_index}")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ linear, so its rows are standard normals through one fixed factor of its
 map, which has the chain's law exactly, and every reported moment is
 that factor applied to the Gram matrix of a partition's normals.  That
 Gram matrix is drawn once per partition from its exact (Wishart) law,
-so a run without a dump costs the same at any round count; a dump draws
-the rows' normals afterwards and maps them onto the same Gram matrix.
+by the stdlib's generator, so a run without a dump costs the same at any
+round count and imports no ``numpy.random``; a dump draws the rows'
+normals from numpy's generator and maps them onto the same Gram matrix.
 The empirical second moments of ``(x_A, p_A, x_B, p_B)`` must reproduce
 the closed-form noise budget; the outgoing quadrature is additionally
 tracked as simulation-only ground truth, so every run also estimates the
@@ -26,6 +27,7 @@ import contextlib
 import itertools
 import math
 import os
+import random
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -155,23 +157,24 @@ def _factor(cfg: SimConfig) -> np.ndarray:
     return r
 
 
-def _bartlett(g: np.random.Generator, n: int) -> np.ndarray:
+def _bartlett(g: random.Random, n: int) -> np.ndarray:
     """The lower-triangular 6x6 Bartlett factor ``T`` of ``n >= 6`` rounds'
     normals: ``W = T T.T`` has their Gram matrix's law, Wishart_6(n, I)
     (Bartlett, Proc. R. Soc. Edinb. 53, 260 (1933)).  ``T_ii^2 ~
-    chi2(n - i)``, drawn first, and the 15 ``T_ij ~ N(0, 1)`` below the
-    diagonal, row by row, are independent."""
+    chi2(n - i) = Gamma((n - i) / 2, 2)``, drawn first, and the 15 ``T_ij ~
+    N(0, 1)`` below the diagonal, row by row, are independent.  Both of the
+    stdlib's draws are exact in law."""
     t = np.zeros((6, 6))
-    t[np.diag_indices(6)] = np.sqrt(g.chisquare([float(n - i) for i in range(6)]))
-    t[np.tril_indices(6, -1)] = g.standard_normal(15)
+    t[np.diag_indices(6)] = [math.sqrt(g.gammavariate((n - i) / 2.0, 2.0)) for i in range(6)]
+    t[np.tril_indices(6, -1)] = [g.gauss(0.0, 1.0) for _ in range(15)]
     return t
 
 
-def _normals(g: np.random.Generator, state: dict, n_rounds: int, buf: np.ndarray):
-    """From the generator state ``state``, ``n_rounds`` rounds' four normals
-    ``(z0_x, z1_x, z0_p, z1_p)``: yields each chunk's first round and its
-    (4, m) view of ``buf``, refilled in place."""
-    g.bit_generator.state = state
+def _normals(stream: RngStream, n_rounds: int, buf: np.ndarray):
+    """From the start of ``stream``'s numpy generator, ``n_rounds`` rounds'
+    four normals ``(z0_x, z1_x, z0_p, z1_p)``: yields each chunk's first
+    round and its (4, m) view of ``buf``, refilled in place."""
+    g = stream.generator()
     for done in range(0, n_rounds, _CHUNK):
         m = min(_CHUNK, n_rounds - done)
         u = buf[: 4 * m].reshape(4, m)
@@ -236,46 +239,45 @@ def _partition_sums(r: np.ndarray, stream: RngStream, n_rounds: int, first_row: 
     ``K = _block_map(r)`` and ``W`` the Gram matrix of the rounds' normals
     ``(z0_x, z1_x, z0_p, z1_p, z2_x, z2_p)``.
 
-    From 6 rounds on, ``W = T T.T`` with ``T`` Bartlett's factor, so the
-    summary costs the same at any ``n_rounds``.  A smaller partition draws
-    its 6 x n normals, the rows' four first.
+    From 6 rounds on, ``W = T T.T`` with ``T`` Bartlett's factor, drawn
+    from the stream's stdlib generator, so the summary costs the same at
+    any ``n_rounds`` and needs no ``numpy.random``.  A smaller partition
+    draws its 6 x n normals from the numpy generator, the rows' four first.
 
     With ``part_path`` the partition's rows ``(x_A, p_A, x_B, p_B)`` are
     also written there as dump lines numbered from ``first_row``, one chunk
-    at a time, from four normals a round drawn after the summary's.  From
-    6 rounds on those normals ``Z`` are drawn twice: once to sum their Gram
-    matrix ``S``, and again to map them through ``T4 chol(S)^-1`` (``T4``
-    the top left 4x4 of ``T``).  ``chol(S)^-1 Z`` is Haar-distributed on
-    the Stiefel manifold and independent of ``S`` (Muirhead, *Aspects of
-    Multivariate Statistical Theory*, 1982), so ``U = T4 chol(S)^-1 Z``
-    has the law of the rounds' drawn normals jointly with ``W``, and
-    ``U U.T`` is ``W``'s top left block to rounding: the rows reproduce
-    the report.  Memory is one chunk of normals and one of rows.
+    at a time, from four normals a round drawn from the start of the numpy
+    generator, independent of ``T``.  From 6 rounds on those normals ``Z``
+    are drawn twice: once to sum their Gram matrix ``S``, and again to map
+    them through ``T4 chol(S)^-1`` (``T4`` the top left 4x4 of ``T``).
+    ``chol(S)^-1 Z`` is Haar-distributed on the Stiefel manifold and
+    independent of ``S`` (Muirhead, *Aspects of Multivariate Statistical
+    Theory*, 1982), so ``U = T4 chol(S)^-1 Z`` has the law of the rounds'
+    drawn normals jointly with ``W``, and ``U U.T`` is ``W``'s top left
+    block to rounding: the rows reproduce the report.  Memory is one chunk of normals and one of rows.
     """
-    g = stream.generator()
     k = _block_map(r)
     if n_rounds < 6:
-        state = g.bit_generator.state
-        z = g.standard_normal((6, n_rounds))
+        z = stream.generator().standard_normal((6, n_rounds))
         w = np.einsum("ik,jk->ij", z, z)
     else:
-        t = _bartlett(g, n_rounds)
+        t = _bartlett(stream.stdlib_random(), n_rounds)
         w = np.einsum("ik,jk->ij", t, t)
-        state = g.bit_generator.state
     # A non-finite value is reported by run_protocol's moment check, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         sums = np.einsum("ia,ab,jb->ij", k, w, k)
+        sums = (sums + sums.T) / 2.0  # exactly symmetric, as a Gram matrix is
         if part_path is not None:
             # One chunk array of normals and one of rows and scratch serve every chunk.
             normals, rows = np.empty(4 * min(_CHUNK, n_rounds)), np.empty(5 * min(_CHUNK, n_rounds))
             a = k[:4, :4]
             if n_rounds >= 6:
-                s = sum(np.einsum("ik,jk->ij", u, u) for _, u in _normals(g, state, n_rounds, normals))
+                s = sum(np.einsum("ik,jk->ij", u, u) for _, u in _normals(stream, n_rounds, normals))
                 a = _row_map(a, t[:4, :4], s)
             with open(part_path, "w", encoding="utf-8", newline="") as fh:
-                for done, u in _normals(g, state, n_rounds, normals):
+                for done, u in _normals(stream, n_rounds, normals):
                     _write_rows(fh, _rows(a, u, rows), first_row + done)
-    return (sums + sums.T) / 2.0  # exactly symmetric, as a Gram matrix is
+    return sums
 
 
 def _usable_cpus() -> int:

@@ -861,6 +861,18 @@ def test_error_exit_prints_one_error_line(make_argv, code, message, tmp_path, ca
     assert message in err
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_overflowing_sums_print_one_error_line_at_any_seed(seed, capsys):
+    # A partition's sums are made symmetric where their overflow is ignored,
+    # so no draw lets a RuntimeWarning out ahead of the error line.
+    argv = _at_100_photons_10_km("simulate", "--va", "1", "--count", "1000", "--v-el", "1e308")(None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--seed", str(seed)]) == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: simulated second moments overflow\n"
+
+
 # Values at the edges of a numeric setting's domain or outside it: signed
 # zeros, the smallest subnormal, values near the float limits, non-finite
 # text, integers beyond any float, and text that is empty, blank or not
@@ -883,15 +895,18 @@ _SIMULATE_FLOATS = ["n0", "va", "length", "eps0", "v_el", "eta_d", "gamma"]
     count=st.integers(0, 20_000),
     partitions=st.integers(0, 4),
     workers=st.sampled_from([1, 2]),
+    # Whether an overflow warns can hang on the draws, so the seed varies too.
+    seed=st.integers(0, 2**64 - 1),
 )
-@example(overrides={"n0": "1e308"}, count=1000, partitions=2, workers=1)
-@example(overrides={"v_el": "1e300"}, count=1000, partitions=1, workers=1)
-@example(overrides={"eta_d": "5e-324"}, count=1000, partitions=1, workers=1)
-@example(overrides={"length": "1e308", "eps0": "1e308"}, count=1000, partitions=1, workers=1)
-@example(overrides={"va": "-0", "gamma": "0"}, count=2, partitions=4, workers=2)
-def test_simulate_exits_cleanly_over_its_numeric_domain(overrides, count, partitions, workers):
+@example(overrides={"n0": "1e308"}, count=1000, partitions=2, workers=1, seed=42)
+@example(overrides={"v_el": "1e300"}, count=1000, partitions=1, workers=1, seed=42)
+@example(overrides={"v_el": "1e308"}, count=1000, partitions=1, workers=1, seed=2)
+@example(overrides={"eta_d": "5e-324"}, count=1000, partitions=1, workers=1, seed=42)
+@example(overrides={"length": "1e308", "eps0": "1e308"}, count=1000, partitions=1, workers=1, seed=42)
+@example(overrides={"va": "-0", "gamma": "0"}, count=2, partitions=4, workers=2, seed=42)
+def test_simulate_exits_cleanly_over_its_numeric_domain(overrides, count, partitions, workers, seed):
     values = {"n0": "340", "va": "1", "length": "10", **overrides}
-    values.update(count=str(count), partitions=str(partitions), workers=str(workers))
+    values.update(count=str(count), partitions=str(partitions), workers=str(workers), seed=str(seed))
     # --key=value keeps argparse from reading a value like -inf as a flag.
     argv = ["simulate"] + [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
     stdout, stderr = io.StringIO(), io.StringIO()

@@ -95,20 +95,23 @@ def reference_coefficients(cfg):
 DETECTORS = st.builds(DetectorModel, st.floats(1e-6, 1.0), st.floats(0.0, 10.0))
 
 
-def bartlett_factor(g, n):
+def bartlett_factor(stream, n):
     """The Bartlett factor ``T`` of a partition of ``n >= 6`` rounds, drawn
-    from ``g`` as ``_partition_sums`` draws it: the six chi-squares of its
-    diagonal, then its 15 normals below the diagonal, row by row."""
+    from ``stream``'s stdlib generator as ``_partition_sums`` draws it: the
+    six chi-squares of its diagonal, as gamma variates, then its 15 normals
+    below the diagonal, row by row."""
+    g = stream.stdlib_random()
     t = np.zeros((6, 6))
-    t[np.diag_indices(6)] = np.sqrt(g.chisquare([n - i for i in range(6)]))
-    t[np.tril_indices(6, -1)] = g.standard_normal(15)
+    t[np.diag_indices(6)] = [math.sqrt(g.gammavariate((n - i) / 2.0, 2.0)) for i in range(6)]
+    t[np.tril_indices(6, -1)] = [g.gauss(0.0, 1.0) for _ in range(15)]
     return t
 
 
-def partition_normals(g, n_rounds):
+def partition_normals(stream, n_rounds):
     """Copies of a dumped partition's chunk blocks of four normals a round,
-    drawn from ``g`` in the order ``_partition_sums`` draws them; ``g``
-    starts where the partition's summary draws end."""
+    drawn in the order ``_partition_sums`` draws them from the start of
+    ``stream``'s numpy generator."""
+    g = stream.generator()
     for done in range(0, n_rounds, _CHUNK):
         yield g.standard_normal((4, min(_CHUNK, n_rounds - done)))
 
@@ -131,6 +134,15 @@ def mapped_rows(a, u):
                 row = row + c * z
         rows.append(row)
     return np.array(rows).T
+
+
+def fresh_python(code, **env):
+    """Run ``code`` in a new interpreter that imports this package's source,
+    with ``env`` added to the environment; returns the completed run."""
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
 
 
 @pytest.fixture
@@ -158,8 +170,8 @@ PEAK_BOUND = 750_000
 
 def peak_memory(count, seed, dump_path=None):
     """Peak traced allocation of a one-partition run of ``count`` rounds.
-    An untraced run first pays the one-time imports of a first run
-    (``numpy.random`` among them, ~0.56 MB)."""
+    An untraced run first pays a first run's one-time costs: with a dump,
+    the import of ``numpy.random`` (~0.56 MB)."""
     cfg = make_config(count=count, partitions=1, seed=seed)
     run_protocol(cfg, dump_path=dump_path)
     tracemalloc.start()
@@ -195,16 +207,17 @@ class TestChunk:
         assert np.allclose(c, ref_x, rtol=4e-16, atol=0.0)
 
     def test_rows_are_the_streams_normals_through_the_factor(self, tmp_path, row_maps):
-        # A full chunk, then a shorter tail that reuses the same arrays.  After
-        # the Bartlett factor T, a chunk of m rounds draws four blocks of m
-        # normals Z; the rows are A Z, with A = K4 T4 chol(S)^-1 for S the
+        # A full chunk, then a shorter tail that reuses the same arrays.  The
+        # Bartlett factor T comes from the stream's stdlib generator.  From the
+        # start of its numpy generator a chunk of m rounds draws four blocks of
+        # m normals Z; the rows are A Z, with A = K4 T4 chol(S)^-1 for S the
         # Gram matrix of all of Z, as exactly rounded products and sums.
         cfg = make_config(count=_CHUNK + 1000, partitions=1)
         path = tmp_path / "rounds.csv"
         run_protocol(cfg, dump_path=str(path))
-        g = RngStream(cfg.master_seed, 0).generator()
-        t = bartlett_factor(g, cfg.count)
-        z = list(partition_normals(g, cfg.count))
+        stream = RngStream(cfg.master_seed, 0)
+        t = bartlett_factor(stream, cfg.count)
+        z = list(partition_normals(stream, cfg.count))
         assert [u.shape[1] for u in z] == [_CHUNK, 1000]
         s, _ = exact_gram(z)
         ((k4, t4, s_summed, a),) = row_maps
@@ -313,7 +326,7 @@ class TestEstimateError:
         # T the Bartlett factor drawn from the partition's stream.
         cfg = make_config(count=5000, partitions=1, seed=9)
         n, r = cfg.count, _factor(cfg)
-        t = bartlett_factor(RngStream(cfg.master_seed, 0).generator(), n)
+        t = bartlett_factor(RngStream(cfg.master_seed, 0), n)
         w = np.array([[math.fsum(a * b) for b in t] for a in t])
         d = {4: [0, 1, 4], 5: [2, 3, 5]}  # the normals of d_x and of d_p
 
@@ -442,6 +455,14 @@ class TestDeterminism:
         assert seq.delta_hat == par.delta_hat
         assert seq.delta_stderr == par.delta_stderr
 
+    def test_report_does_not_depend_on_the_hash_seed(self):
+        # The stdlib generator's str seed is hashed by random's own sha512,
+        # not by hash(), so PYTHONHASHSEED changes no draw.
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "1000000", "--partitions", "4"]
+        code = f"from passive_cvqkd import cli\nassert cli.main({argv!r}) == 0\n"
+        first, second = (fresh_python(code, PYTHONHASHSEED=seed).stdout for seed in ("0", "1"))
+        assert first.startswith("command=simulate\n") and first == second
+
     def test_partition_count_changes_the_stream_layout(self):
         a = run_protocol(make_config(count=40_000, partitions=1, seed=19))
         b = run_protocol(make_config(count=40_000, partitions=2, seed=19))
@@ -465,9 +486,7 @@ class TestDeterminism:
             second = sum(sums) / count
             total = 0
             for k, n_rounds in enumerate(counts):
-                g = RngStream(28, k).generator()
-                bartlett_factor(g, n_rounds)
-                exact, products = exact_gram(partition_normals(g, n_rounds))
+                exact, products = exact_gram(partition_normals(RngStream(28, k), n_rounds))
                 total += products
                 diag = np.diag(exact)
                 assert np.all(np.abs(row_maps[k][2] - exact) <= 1e-14 * np.sqrt(np.outer(diag, diag)))
@@ -689,8 +708,9 @@ class TestDump:
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
     def test_report_does_not_depend_on_the_dump(self, tmp_path, capsys, workers):
-        # Rows are formed only for the dump and draw nothing, so the report
-        # and the summary are the same with and without one.
+        # The dump's rows draw from the numpy generator, which no partition's
+        # summary of 6 or more rounds uses, so the report and the summary are
+        # the same with and without one.
         argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "20000", "--partitions", "3"]
         argv += ["--workers", str(workers)]
         assert main(argv) == 0
@@ -703,24 +723,34 @@ class TestDump:
         assert a.count == b.count and a.delta_hat == b.delta_hat and a.delta_stderr == b.delta_stderr
         assert np.array_equal(a.moments, b.moments) and np.array_equal(a.moment_stderr, b.moment_stderr)
 
-    def test_pooled_parent_never_imports_numpy_random(self, tmp_path):
-        # The first use of numpy.random costs a process ~6 MB of RSS.  A pooled
-        # run's parent only forks, merges and copies the parts, so every draw
-        # stays in the partitions.  Two usable CPUs are claimed, so a pool is
-        # started on any machine.
-        src = os.path.dirname(os.path.dirname(simulate.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "assert cli.main(ARGV + ['--workers', '1']) == 0",
+            "assert cli.main(ARGV + ['--workers', '2']) == 0",
+            "assert cli.main(ARGV + ['--workers', '2', '--dump', DUMP]) == 0",
+            "simulate._partition_sums(np.eye(3), RngStream(1, 0), 10**6, 0, None)",
+        ],
+        ids=["serial", "pooled-parent", "pooled-dump-parent", "partition"],
+    )
+    def test_numpy_random_is_never_imported(self, tmp_path, call):
+        # The first use of numpy.random costs a process ~6 MB of RSS.  A run
+        # without a dump draws each partition's 21 numbers with the stdlib, and
+        # a pool worker runs only _partition_sums; a pooled run's parent only
+        # forks, merges and copies the parts, so a dump's draws stay in the
+        # partitions.  Two usable CPUs are claimed, so a pool is started on
+        # any machine.
         argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "20000", "--partitions", "4"]
-        argv += ["--workers", "2", "--dump", str(tmp_path / "r.csv")]
         code = (
             "import sys\n"
-            "from passive_cvqkd import cli, simulate\n"
+            "import numpy as np\n"
+            "from passive_cvqkd import RngStream, cli, simulate\n"
             "simulate._usable_cpus = lambda: 2\n"
-            f"assert cli.main({argv!r}) == 0\n"
+            f"ARGV, DUMP = {argv!r}, {str(tmp_path / 'r.csv')!r}\n"
+            f"{call}\n"
             "print('numpy.random' in sys.modules, file=sys.stderr)\n"
         )
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert run.stderr == "False\n"
+        assert fresh_python(code).stderr == "False\n"
 
     def test_dump_is_deterministic(self, tmp_path):
         cfg = make_config(count=200, partitions=2, seed=21)
