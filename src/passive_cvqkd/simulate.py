@@ -29,6 +29,7 @@ import math
 import os
 import random
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -71,6 +72,9 @@ class SimConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ParameterError(f"count must be >= 1, got {self.count}")
+        if self.count > sys.float_info.max:  # an exact comparison: the moments divide by float(count)
+            size = f"about 10**{math.log10(self.count):.1f}"
+            raise ParameterError(f"count must be at most {sys.float_info.max!r}, got {size}")
         if self.partitions < 1:
             raise ParameterError(f"partitions must be >= 1, got {self.partitions}")
         RngStream(self.master_seed)  # validates the seed range
@@ -226,10 +230,29 @@ def _block_map(r: np.ndarray) -> np.ndarray:
 
 
 def _write_rows(fh, block: np.ndarray, first_row: int) -> None:
-    """Write ``block``'s rows as dump lines numbered from ``first_row``."""
-    rows = enumerate(block.tolist(), first_row)
-    # repr of a float round-trips exactly
-    fh.write("".join(f"{row},{xa!r},{pa!r},{xb!r},{pb!r}\n" for row, (xa, pa, xb, pb) in rows))
+    """Write ``block``'s rows as dump lines numbered from ``first_row`` to
+    the binary file ``fh``: each value is the shortest text that round-trips
+    it, the same bytes as its ``repr``.
+
+    orjson formats the whole block in one compiled call (Ryu's shortest
+    round-trip digits).  Its text differs from ``repr`` only for a nonzero
+    value below 1e-4 in magnitude, one of 1e16 or more, and a non-finite
+    one (``null``); the lines of rows holding such a value are rewritten
+    with ``repr``.
+    """
+    import orjson  # imported here: only a dump formats rows
+
+    text = orjson.dumps(list(zip(range(first_row, first_row + len(block)), *block.T.tolist())))
+    text = text[2:-2].replace(b"],[", b"\n") + b"\n"
+    size = np.abs(block)
+    odd = np.flatnonzero((((size < 1e-4) & (block != 0.0)) | ~(size < 1e16)).any(axis=1))
+    if odd.size:
+        lines = text.split(b"\n")
+        for i in odd.tolist():
+            xa, pa, xb, pb = block[i].tolist()
+            lines[i] = f"{first_row + i},{xa!r},{pa!r},{xb!r},{pb!r}".encode()
+        text = b"\n".join(lines)
+    fh.write(text)
 
 
 def _partition_sums(r: np.ndarray, stream: RngStream, n_rounds: int, first_row: int, part_path: str | None):
@@ -274,7 +297,7 @@ def _partition_sums(r: np.ndarray, stream: RngStream, n_rounds: int, first_row: 
             if n_rounds >= 6:
                 s = sum(np.einsum("ik,jk->ij", u, u) for _, u in _normals(stream, n_rounds, normals))
                 a = _row_map(a, t[:4, :4], s)
-            with open(part_path, "w", encoding="utf-8", newline="") as fh:
+            with open(part_path, "wb") as fh:
                 for done, u in _normals(stream, n_rounds, normals):
                     _write_rows(fh, _rows(a, u, rows), first_row + done)
     return sums
@@ -300,7 +323,9 @@ def run_protocol(
             are merged in index order, so the summary is identical for
             any ``workers`` value.
         dump_path: optional CSV path for the raw per-round samples, with
-            header ``round,xA,pA,xB,pB`` in SNU at full precision.  Each
+            header ``round,xA,pA,xB,pB`` in SNU.  Each value is the
+            shortest text that round-trips it, byte for byte its
+            ``repr``, formatted a chunk at a time by orjson.  Each
             partition writes its rows, a chunk at a time, to a part file
             in a temporary directory beside ``dump_path``; the parts are
             then appended in partition order and removed; a failed run

@@ -904,6 +904,8 @@ _SIMULATE_FLOATS = ["n0", "va", "length", "eps0", "v_el", "eta_d", "gamma"]
 @example(overrides={"eta_d": "5e-324"}, count=1000, partitions=1, workers=1, seed=42)
 @example(overrides={"length": "1e308", "eps0": "1e308"}, count=1000, partitions=1, workers=1, seed=42)
 @example(overrides={"va": "-0", "gamma": "0"}, count=2, partitions=4, workers=2, seed=42)
+# A count beyond the largest float: 2 and 308 zeros.
+@example(overrides={}, count=2 * 10**308, partitions=1, workers=1, seed=42)
 def test_simulate_exits_cleanly_over_its_numeric_domain(overrides, count, partitions, workers, seed):
     values = {"n0": "340", "va": "1", "length": "10", **overrides}
     values.update(count=str(count), partitions=str(partitions), workers=str(workers), seed=str(seed))

@@ -1,5 +1,7 @@
 """Monte Carlo protocol simulation against the closed-form model."""
 
+import hashlib
+import io
 import linecache
 import math
 import os
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from passive_cvqkd import (
     ChannelModel,
@@ -136,6 +139,35 @@ def mapped_rows(a, u):
     return np.array(rows).T
 
 
+def repr_rows(block, first_row):
+    """The dump lines of ``block``'s rows numbered from ``first_row`` as the
+    writer formatted them before orjson did: each value by its ``repr``,
+    the shortest text that round-trips it."""
+    rows = enumerate(block.tolist(), first_row)
+    return "".join(f"{row},{xa!r},{pa!r},{xb!r},{pb!r}\n" for row, (xa, pa, xb, pb) in rows).encode()
+
+
+# Values at and around the edges where orjson's text and repr's differ:
+# signed zeros, the smallest subnormal, both sides of 1e-4 and of 1e16, the
+# largest float and the non-finite values.
+EDGE_VALUES = [0.0, 5e-324, float(np.nextafter(1e-4, 0.0)), 1e-4, float(np.nextafter(1e16, 0.0)), 1e16]
+EDGE_VALUES += [1.7976931348623157e308, math.inf, math.nan]
+EDGE_VALUES += [-v for v in EDGE_VALUES]
+
+
+def lone_edges():
+    """One row per edge value, the value in one column and 0.5 in the others."""
+    block = np.full((len(EDGE_VALUES), 4), 0.5)
+    block[np.arange(len(EDGE_VALUES)), np.arange(len(EDGE_VALUES)) % 4] = EDGE_VALUES
+    return block
+
+
+# The sha256 of criterion 6's dump (tests/test_acceptance.py): simulate
+# --n0 340 --va 1 --length 10 --count 80000 --seed 42 --partitions 4, serial
+# and with 3 workers.  Taken from the repr writer at commit 77b713b.
+CRITERION_6_DUMP_SHA256 = "dd33221075d9f566dd684c031a4b747e85585db737842f08321951b6757501b7"
+
+
 def fresh_python(code, **env):
     """Run ``code`` in a new interpreter that imports this package's source,
     with ``env`` added to the environment; returns the completed run."""
@@ -158,12 +190,13 @@ def row_maps(monkeypatch):
     return calls
 
 
-# Traced peaks of a one-partition run of 4 chunks: 1.68 MB with the dump
-# and 0.011 MB without it (Python 3.11, numpy 2.4).  Without the dump no
-# chunk is drawn; with it the chunk's normals take 0.13 MB, its rows and
-# their scratch another 0.16 MB, and the rest is the chunk's formatted
-# lines.  The bounds sit ~1.6x and ~70x above them; at 2^17-round chunks
-# the two chunk arrays alone would take 9.4 MB.
+# Traced peaks of a one-partition run of 4 chunks: 2.13 MB with the dump
+# and 0.011 MB without it (Python 3.11, numpy 2.4, orjson 3.8).  Without
+# the dump no chunk is drawn; with it the chunk's normals take 0.13 MB, its
+# rows and their scratch another 0.16 MB, and the rest is the chunk's rows
+# as Python floats and tuples (~1 MB) while orjson formats them, with the
+# text it returns (0.34 MB).  The bounds sit ~1.3x and ~70x above them; at
+# 2^17-round chunks the two chunk arrays alone would take 9.4 MB.
 DUMP_PEAK_BOUND = 2_750_000
 PEAK_BOUND = 750_000
 
@@ -752,6 +785,53 @@ class TestDump:
         )
         assert fresh_python(code).stderr == "False\n"
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        block=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(4)), elements=st.floats()),
+        first_row=st.integers(0, 2**53),
+    )
+    @example(block=lone_edges(), first_row=0)
+    @example(block=lone_edges(), first_row=10**12 - 5)
+    @example(block=np.array(EDGE_VALUES[:12]).reshape(3, 4), first_row=10**12)
+    @example(block=np.array(EDGE_VALUES[6:]).reshape(3, 4), first_row=10**12 + 1)
+    def test_rows_are_written_as_repr_writes_them(self, block, first_row):
+        fh = io.BytesIO()
+        simulate._write_rows(fh, block, first_row)
+        assert fh.getvalue() == repr_rows(block, first_row)
+
+    @pytest.mark.parametrize("workers", ["1", "3"], ids=["serial", "pooled"])
+    def test_criterion_6_dump_is_the_repr_writers(self, tmp_path, workers):
+        dump = tmp_path / "rounds.csv"
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "80000", "--seed", "42"]
+        assert main([*argv, "--partitions", "4", "--workers", workers, "--dump", str(dump)]) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == CRITERION_6_DUMP_SHA256
+
+    @pytest.mark.parametrize(
+        "call, imported",
+        [
+            ("cli.build_parser()", False),
+            ("assert cli.main(ARGV + ['--workers', '1']) == 0", False),
+            ("assert cli.main(ARGV + ['--workers', '2']) == 0", False),
+            ("assert cli.main(ARGV + ['--workers', '1', '--dump', DUMP]) == 0", True),
+        ],
+        ids=["parser", "serial", "pooled", "serial-dump"],
+    )
+    def test_only_a_dump_imports_orjson(self, tmp_path, call, imported):
+        # Only _write_rows imports orjson, so the parser, a run without a
+        # dump and its pool stay off it; a serial dump formats its rows in
+        # the process itself.  Two usable CPUs are claimed, so a pool is
+        # started on any machine.
+        argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "20000", "--partitions", "4"]
+        code = (
+            "import sys\n"
+            "from passive_cvqkd import cli, simulate\n"
+            "simulate._usable_cpus = lambda: 2\n"
+            f"ARGV, DUMP = {argv!r}, {str(tmp_path / 'r.csv')!r}\n"
+            f"{call}\n"
+            "print('orjson' in sys.modules, file=sys.stderr)\n"
+        )
+        assert fresh_python(code).stderr == f"{imported}\n"
+
     def test_dump_is_deterministic(self, tmp_path):
         cfg = make_config(count=200, partitions=2, seed=21)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -772,3 +852,7 @@ class TestSmallSamples:
             make_config(count=0)
         with pytest.raises(ParameterError):
             make_config(partitions=0)
+        # The moments divide by float(count), so the largest float is the last count accepted.
+        assert make_config(count=int(sys.float_info.max)).count == int(sys.float_info.max)
+        with pytest.raises(ParameterError, match="count must be at most 1.7976931348623157e"):
+            make_config(count=int(sys.float_info.max) + 1)
