@@ -20,12 +20,12 @@ import copy
 import itertools
 import math
 import tempfile
-import warnings
 import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import DegenerateDataError, ParameterError, RecordFormatError, UnitError
 from .gaussian import DetectorModel
@@ -49,7 +49,7 @@ DEGENERATE_MEAN_Z_TOL = 1e-6
 HISTOGRAM_BINS = 128
 HISTOGRAM_SPAN_SIGMAS = 5.0
 # Rows per slice wherever a record is read or reduced: the finiteness
-# checks, the variance, the moments of Z and the np.histogram2d calls.
+# checks, the variance, the moments of Z and the histogram's bins.
 # Their temporaries grow with the rows of a slice, not of the record.
 SLICE_ROWS = 1 << 14
 # Bytes per read of a record file's raw text; the loader converts and
@@ -207,16 +207,20 @@ def load_quadrature_records(
     byte-order mark is ignored.
 
     The file is opened once and its text read once, 64 KiB at a time, so
-    ``path`` may be a pipe.  numpy converts the rows of each read whose
-    text is ASCII without a ``\\x1f``, the one such byte that numpy strips
-    from a cell and ``float`` refuses.  A read that numpy refuses, or that
-    gives other than two finite columns, and every read after a malformed
-    line, go by the rules above, line by line: they name the bad lines and
-    accept the rare cells only ``float`` takes (``1_000``, say).  Either
-    way the values are bit-identical.  Each read's rows go into an
-    anonymous temporary file of 16 bytes a row, which backs the returned
-    record, so a load holds one read of text and its rows at any record
-    length.
+    ``path`` may be a pipe.  orjson's compiled number parser, which gives
+    ``float``'s bits, converts each read whose text holds only digits,
+    ``.eE+-``, spaces, tabs and commas, whose every non-empty line has the
+    header's cell count (2 without a header) in at most 768 characters,
+    and whose selected cells orjson reads as finite floats.  Any other
+    read, and every read after a malformed line, go by the rules above,
+    line by line: a read with an integer such as ``1`` or ``-0`` in the
+    pair (orjson reads ``-0`` as +0), a cell such as ``+1``, ``.5``,
+    ``5.``, ``01`` or ``1_000`` that only ``float`` takes, or a ragged,
+    whitespace-only or longer line.  The line rules name the bad lines,
+    and either way the values are bit-identical.
+    Each read's rows go into an anonymous temporary file of 16 bytes a
+    row, which backs the returned record, so a load holds one read of
+    text and its rows at any record length.
 
     Raises:
         ParameterError: ``columns`` names one column twice.
@@ -258,12 +262,10 @@ def _resolve_columns(first_line: str | None, columns: tuple[str, str] | None, pa
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _text_lines(path: str) -> Iterator[tuple[int, list[str], bool]]:
+def _text_lines(path: str) -> Iterator[tuple[int, list[str]]]:
     """The lines of ``path``, as ``str.splitlines`` splits its whole UTF-8
     text with a leading byte-order mark removed, decoded ``_READ_BYTES`` at
-    a time.  For each read: the number of its first line, its lines, and
-    whether its text is plain, that is ASCII without a ``\\x1f``, so that
-    numpy and ``float`` read its cells alike."""
+    a time.  For each read: the number of its first line, and its lines."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     offset, carry, lineno, at_start = 0, "", 1, True
     with open(path, "rb") as fh:
@@ -289,32 +291,60 @@ def _text_lines(path: str) -> Iterator[tuple[int, list[str], bool]]:
                 carry = lines.pop()
             elif chunk and text.endswith("\r"):
                 carry = lines.pop() + "\r"
-            yield lineno, lines, text.isascii() and "\x1f" not in text
+            yield lineno, lines
             lineno += len(lines)
             if not chunk:
                 return
 
 
-def _convert(lines: list[str], usecols: tuple[int, int] | None) -> np.ndarray | None:
-    """numpy's conversion of plain lines to ``(k, 2)`` rows; None if numpy
-    refuses them or they give other than two finite columns."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
-            part = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
-    except ValueError:
+# The bytes of a cell that orjson converts: JSON's number grammar and the
+# spaces and tabs that float() strips too.  Then each of orjson's values is
+# one cell, and a null one of the separators that _convert puts in.
+_CELL_BYTES = b"0123456789.eE+- \t,"
+# orjson 3.8 keeps a number's first 768 significant digits, and reads one
+# that is exactly halfway between two floats there and has only zeros after
+# them as above halfway: the midpoint of 0 and 5e-324 with 17 more zeros
+# reads as 5e-324, where float() reads 0.0.  No shorter line holds one.
+_LONGEST_LINE = 768
+
+
+def _convert(lines: list[str], width: int, ix: int, ip: int) -> np.ndarray | None:
+    """orjson's conversion of a read's lines of ``width`` cells to ``(k, 2)``
+    rows of cells ``ix`` and ``ip``; None unless each non-empty line holds
+    ``width`` cells of ``_CELL_BYTES`` in at most ``_LONGEST_LINE``
+    characters, and its pair are finite floats."""
+    if "" in lines:
+        lines = [line for line in lines if line]
+    if max(map(len, lines), default=0) > _LONGEST_LINE:
         return None
-    return part if part.shape[1] == 2 and np.isfinite(part).all() else None
+    n = len(lines)
+    text = ("[" + ",null,".join(lines) + "]").encode()
+    if text.translate(None, _CELL_BYTES) != b"[" + b"null" * (n - 1) + b"]":
+        return None
+    try:
+        cells = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    step = width + 1
+    if len(cells) != step * n - 1 or cells[width::step].count(None) != n - 1:
+        return None  # a line of another width
+    x, p = cells[ix::step], cells[ip::step]
+    # orjson reads an integer as an int, and -0 as 0, not float's -0.0.
+    if not (all(map(float.__instancecheck__, x)) and all(map(float.__instancecheck__, p))):
+        return None
+    rows = np.empty((n, 2))
+    rows[:, 0], rows[:, 1] = np.fromiter(x, float, n), np.fromiter(p, float, n)
+    return rows if np.isfinite(rows).all() else None
 
 
 def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
-    """The one pass over a record's text: the header rule, then numpy's
-    conversion of each plain read and the line rules for any other.  It
-    holds one read of text and its rows, and counts every bad line but
-    keeps the numbers of only the first ``_SHOWN_BAD``."""
+    """The one pass over a record's text: the header rule, then orjson's
+    conversion of each read that ``_convert`` accepts and the line rules
+    for any other.  It holds one read of text and its rows, and counts
+    every bad line but keeps the numbers of only the first ``_SHOWN_BAD``."""
     reads = _text_lines(path)  # it yields at least one read
     first = None
-    for start, lines, plain in reads:
+    for start, lines in reads:
         first = next((i for i, line in enumerate(lines) if line.strip()), None)
         if first is not None:
             break
@@ -326,7 +356,7 @@ def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
         raise
     skip = (first or 0) + has_header
     needed = max(idx_x, idx_p) + 1
-    usecols = (idx_x, idx_p) if has_header else None
+    width = len(lines[first].split(",")) if has_header else 2
     spill = _Spill()
     bad: list[int] = []  # the first _SHOWN_BAD bad lines
     n_bad = 0
@@ -360,8 +390,8 @@ def _scan(path: str, columns: tuple[str, str] | None) -> _Spill:
         return np.array(rows).reshape(-1, 2)
 
     # chain() holds its arguments to the end; an exhausted iter() lets go of the first read.
-    for start, lines, plain in itertools.chain(iter([(start + skip, lines[skip:], plain)]), reads):
-        part = _convert(lines, usecols) if plain and not n_bad else None
+    for start, lines in itertools.chain(iter([(start + skip, lines[skip:])]), reads):
+        part = _convert(lines, width, idx_x, idx_p) if not n_bad else None
         if part is None:
             part = by_rules(lines, start)
         if not n_bad:
@@ -557,20 +587,33 @@ def export_histogram(
     if s <= 0.0:
         raise DegenerateDataError("record has zero spread; histogram range is empty")
     half = HISTOGRAM_SPAN_SIGMAS * math.sqrt(s)
-    # Every slice has the same edges, so the summed counts are those of
-    # one call over the whole record, without its record-sized temporaries.
-    counts = np.zeros((HISTOGRAM_BINS, HISTOGRAM_BINS))
+    # np.histogram2d's edges and bins, as np.histogram finds uniform bins:
+    # scale and floor, then correct by one bin against the edges.  The last
+    # bin holds the upper edge.  The counts of the slices add up to those
+    # of one call over the whole record.
+    edges = np.linspace(-half, half, HISTOGRAM_BINS + 1)
+    scale = HISTOGRAM_BINS / (2.0 * half)
+    last = HISTOGRAM_BINS - 1
+
+    def bins(v: np.ndarray) -> np.ndarray:
+        i = np.minimum(((v + half) * scale).astype(np.intp), last)
+        i -= v < edges[i]
+        i += (v >= edges[i + 1]) & (i < last)
+        return i
+
+    counts = np.zeros(HISTOGRAM_BINS * HISTOGRAM_BINS, dtype=np.int64)
     for part in record.slices():
-        bounds = [[-half, half], [-half, half]]
-        c, x_edges, p_edges = np.histogram2d(part[:, 0], part[:, 1], bins=HISTOGRAM_BINS, range=bounds)
-        counts += c
-    counts = counts.astype(np.int64)
+        x, p = part[:, 0], part[:, 1]
+        inside = (x >= -half) & (x <= half) & (p >= -half) & (p <= half)
+        if not inside.all():
+            x, p = x[inside], p[inside]
+        counts += np.bincount(bins(x) * HISTOGRAM_BINS + bins(p), minlength=counts.size)
+    counts = counts.reshape(HISTOGRAM_BINS, HISTOGRAM_BINS)
     if path is not None:
-        # Each bin center is formatted once, not once per line.
-        x_centers = [f"{c:.9g}," for c in 0.5 * (x_edges[:-1] + x_edges[1:])]
-        p_centers = [f"{c:.9g}," for c in 0.5 * (p_edges[:-1] + p_edges[1:])]
+        # Each bin center is formatted once, not once per line; x and p share them.
+        centers = [f"{c:.9g}," for c in 0.5 * (edges[:-1] + edges[1:])]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("bin_x,bin_p,count\n")
-            for xc, row in zip(x_centers, counts.tolist()):
-                fh.write("".join(f"{xc}{pc}{count}\n" for pc, count in zip(p_centers, row)))
-    return counts, x_edges, p_edges
+            for xc, row in zip(centers, counts.tolist()):
+                fh.write("".join(f"{xc}{pc}{count}\n" for pc, count in zip(centers, row)))
+    return counts, edges, edges.copy()

@@ -552,11 +552,12 @@ class TestAnalyze:
 
     def test_analyze_holds_under_two_record_sized_arrays(self, tmp_path):
         """Peak traced allocation of ``analyze`` with a histogram, on a
-        200k-row thermal and a 200k-row vacuum record: ~0.57 times the 3.2 MB
-        sample array of one record (measured).  Both records stay in their
-        loaders' temporary files and are read a slice at a time, so the peak
-        is slice temporaries, most of them the histogram's; holding either
-        record in memory adds a record-sized array to that."""
+        200k-row thermal and a 200k-row vacuum record: ~0.47 times the 3.2 MB
+        sample array of one record (measured; 0.35 without the histogram).
+        Both records stay in their loaders' temporary files and are read a
+        slice at a time, so the peak is a read's text and rows and slice
+        temporaries; holding either record in memory adds a record-sized
+        array to that."""
         count = 200_000
         g = RngStream(98).generator()
         argv = ["analyze"]

@@ -2,8 +2,10 @@
 
 import math
 import os
+import struct
 import tempfile
 import tracemalloc
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -175,7 +177,7 @@ class TestLoader:
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     def test_plain_file_of_several_slices_loads_without_the_line_scanner(self, tmp_path, monkeypatch, end):
-        # numpy converts every read of a plain file, whatever its line
+        # orjson converts every read of a plain file, whatever its line
         # breaks; a bad row in a later slice goes by the line rules, which
         # name its line in the whole file.
         rows = RngStream(84).generator().standard_normal((2 * SLICE_ROWS + 5, 2))
@@ -235,8 +237,8 @@ class TestLoader:
     def test_a_byte_only_the_scanner_reads_right_after_the_first_slice(self, tmp_path, byte):
         # The byte sits in the third slice and past the first read of text,
         # and the read that holds it goes by the line rules: a form feed
-        # ends its line, float() refuses a unit separator that numpy would
-        # strip, and it strips a no-break space.
+        # ends its line, float() refuses a unit separator, and it strips a
+        # no-break space.
         rows = RngStream(89).generator().standard_normal((3 * SLICE_ROWS, 2))
         lines = ["x,p"] + [f"{x!r},{p!r}" for x, p in rows.tolist()]
         lines[2 * SLICE_ROWS + 7] += byte
@@ -380,7 +382,7 @@ def test_overflow_is_degenerate_data(call, message):
 
 
 # Line breaks of str.splitlines() beyond \n and \r, and whitespace that
-# float() and numpy's tokenizer strip differently.
+# float() and a JSON parser strip differently.
 _ODD_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029", "\xa0"]
 _ODD_CELLS = ["nan", "inf", "-inf", "1_000", "abc", "", " 2.5 ", "\t-0.0", "0x1p3", "1e400", "\u0661", "3.0\x00"]
 _ODD_CELLS += ["4.0#x"] + [f"2.0{c}3.0" for c in _ODD_SPACE]
@@ -499,7 +501,7 @@ def test_loader_agrees_with_the_documented_format(case):
 @example(("x,p\n1.0,2.0\n3.0,4.0\n5.0,oops\n7.0,8.0\n9.0,1_0\n", None), 12)
 def test_loader_agrees_with_the_documented_format_a_few_bytes_at_a_time(case, read_bytes):
     # Reads of 8 to 64 bytes put clean and flawed rows in different reads,
-    # so numpy converts some reads and the line rules take the others.
+    # so orjson converts some reads and the line rules take the others.
     with mock.patch.object(g2, "_READ_BYTES", read_bytes):
         agrees_with_the_documented_format(*case)
 
@@ -517,8 +519,7 @@ def test_loader_agrees_with_the_documented_format_a_few_bytes_at_a_time(case, re
 def test_lines_read_a_few_bytes_at_a_time_are_those_of_the_whole_text(text, bom, junk_at, read_bytes):
     # Reads of 1 to 5 bytes split every line break, \r\n pair and UTF-8
     # character that a record's reads could split.  The lines of all reads,
-    # numbered from each read's first, are those of the whole text, and a
-    # read called plain has only ASCII lines without a \x1f.
+    # numbered from each read's first, are those of the whole text.
     data = b"\xef\xbb\xbf" * bom + text.encode()
     if junk_at is not None:
         data = data[:junk_at] + b"\xff" + data[junk_at:]
@@ -532,11 +533,134 @@ def test_lines_read_a_few_bytes_at_a_time_are_those_of_the_whole_text(text, bom,
             fh.write(data)
         try:
             reads = list(g2._text_lines(path))
-            got = [(start + i, line) for start, lines, _ in reads for i, line in enumerate(lines)]
-            assert all(line.isascii() and "\x1f" not in line for _, lines, plain in reads if plain for line in lines)
+            got = [(start + i, line) for start, lines in reads for i, line in enumerate(lines)]
         except RecordFormatError as exc:
             got = str(exc).split(": ", 1)[1]
     assert got == expected
+
+
+def _float64(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _midpoint(bits):
+    """The exact decimal halfway between the float64 of ``bits`` and the
+    next one up, as the mantissa and the exponent of its e-notation."""
+    with localcontext() as ctx:
+        ctx.prec = 800  # exact: a midpoint has at most 767 significant digits
+        mid = (Decimal(_float64(bits)) + Decimal(_float64(bits + 1))) / 2
+    return f"{mid:e}".split("e")
+
+
+@st.composite
+def number_texts(draw):
+    """The text of a number: a float64 bit pattern as repr, %.17g, %.18e or
+    %.25e write it; the exact decimal halfway between two adjacent doubles,
+    or one unit of its last digit below or above it, with up to 20 zeros
+    after it (a subnormal's midpoint has ~750 digits); or an integer near
+    2^53, 2^63 or 2^64."""
+    kind = draw(st.sampled_from(["bits", "halfway", "integer"]))
+    sign = draw(st.sampled_from(["", "-"]))
+    if kind == "bits":
+        x = _float64(draw(st.integers(0, 0x7FEFFFFFFFFFFFFF)))  # every finite magnitude, subnormals too
+        return sign + draw(st.sampled_from([repr, "%.17g".__mod__, "%.18e".__mod__, "%.25e".__mod__]))(x)
+    if kind == "halfway":
+        mantissa, exponent = _midpoint(draw(st.one_of(st.integers(0, 0x7FEFFFFFFFFFFFFE), st.integers(0, 2**53))))
+        zeros = "0" * draw(st.integers(0, 20))
+        mantissa = draw(
+            st.sampled_from(
+                [mantissa + zeros, mantissa[:-1] + str(int(mantissa[-1]) - 1) + zeros, mantissa + zeros + "1"]
+            )
+        )
+        return f"{sign}{mantissa}e{exponent}"
+    n = draw(st.sampled_from([2**53, 2**63, 2**64])) + draw(st.integers(-3, 3))
+    return sign + str(n) + draw(st.sampled_from(["", ".0", "e0"]))
+
+
+_SUBNORMAL_MIDPOINT, _ = _midpoint(0)  # 752 digits, then e-324
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(number_texts())
+@example("0.0")
+@example("-0.0")
+@example("-0e0")
+@example("-0")
+@example("5e-324")
+@example("2.4703282292062328e-324")  # above half the smallest subnormal: 5e-324
+@example(_SUBNORMAL_MIDPOINT + "e-324")  # exactly half of it: 0.0, to even
+@example(_SUBNORMAL_MIDPOINT + "0" * 6 + "e-324")  # in a line of 768 characters
+@example(_SUBNORMAL_MIDPOINT + "0" * 17 + "e-324")  # 769 digits, orjson's 5e-324: refused
+@example("2.2250738585072011e-308")  # the largest subnormal, written short
+@example("1.7976931348623157e308")
+@example("1.7976931348623158e308")  # rounds down to the largest float
+@example("9007199254740993")  # 2^53 + 1, an int to orjson
+@example("9007199254740993.0")  # halfway between two floats: rounds to even
+@example("18446744073709551617")  # above 2^64, a float to orjson
+def test_orjson_reads_a_number_with_floats_bits(text):
+    # The fast route rests on orjson's number parser rounding as float()
+    # does; an orjson whose parser rounds otherwise fails here.  A number
+    # orjson reads as an int (-0 among them) and a line longer than 768
+    # characters are refused, and the read goes by the line rules; any
+    # number orjson reads as a float must have float()'s bits.
+    line = f"{text},0.5"
+    got = g2._convert([line], 2, 0, 1)
+    if got is None:
+        integer = not any(c in text for c in ".eE") and -(2**63) <= int(text) < 2**64
+        assert integer or len(line) > g2._LONGEST_LINE
+    else:
+        assert got.tobytes() == np.array([[float(text), 0.5]]).tobytes()
+
+
+# Rows whose read _convert refuses, one class each: cells orjson reads as
+# other than a number, cells only float() takes or refuses, lines of
+# another width or of more than 768 characters, and integers in the pair.
+# The "header-" rows go under the header c0,c1,c2 with the pair (c2, c0).
+_REFUSED_ROWS = {
+    "true": "true,2.5",
+    "false": "1.5,false",
+    "null": "null,2.5",
+    "quoted": '"1.5",2.5',
+    "brackets": "[1.5],2.5",
+    "ragged-long": "1.5,2.5,3.5",
+    "ragged-short": "1.5",
+    "whitespace-only-line": " \t ",
+    "minus-zero-integer": "-0,2.5",
+    "integer": "1.5,7",
+    "plus": "+1.5,2.5",
+    "no-leading-digit": ".5,2.5",
+    "no-trailing-digit": "5.,2.5",
+    "leading-zero": "01.5,2.5",
+    "overflow": "1e400,2.5",
+    "longer-than-768-characters": "0." + "3" * 800 + ",2.5",
+    "header-true-outside-the-pair": "1.5,true,2.5",
+    "header-null-outside-the-pair": "1.5,null,2.5",
+    "header-quoted-outside-the-pair": '1.5,"x",2.5',
+    "header-ragged-long": "1.5,2.5,3.5,4.5",
+    "header-ragged-short": "1.5,2.5",
+    # Two cells too many and then two too few: as many cells as two rows.
+    "header-ragged-pair": "1.5,2.5,3.5,4.5,5.5\n6.5",
+    "header-integer-in-the-pair": "3,1.5,2.5",
+    "header-minus-zero-in-the-pair": "1.5,2.5,-0",
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED_ROWS))
+def test_a_read_orjson_refuses_goes_by_the_line_rules(name):
+    # Six clean rows are orjson's; with the rows among them the read is
+    # refused, and the load gives the line rules' values, or their error
+    # naming a line of those rows.
+    header = name.startswith("header-")
+    width, ix, ip, columns = (3, 2, 0, ("c2", "c0")) if header else (2, 0, 1, None)
+    clean = ["1.5,2.5,-3.25", "4.0e-3,5.5,6.125"] * 3 if header else ["1.5,2.5", "4.0e-3,5.5"] * 3
+    assert g2._convert(clean, width, ix, ip) is not None
+    rows = _REFUSED_ROWS[name].split("\n")
+    lines = clean[:3] + rows + clean[3:]
+    assert g2._convert(lines, width, ix, ip) is None
+    text = "c0,c1,c2\n" * header + "\n".join(lines) + "\n"
+    expected = reference_load(text, columns)
+    assert isinstance(expected, np.ndarray) or set(expected) <= set(range(4 + header, 4 + header + len(rows)))
+    agrees_with_the_documented_format(text, columns)
 
 
 def calibrate_each_form(thermal, vacuum, det):
@@ -817,6 +941,24 @@ class TestHistogram:
         assert record.pooled_variance() == 1.0
         counts = self.assert_equals_one_whole_record_histogram(record, 5.0)
         assert counts.sum() == n - 2
+
+    @pytest.mark.parametrize("variance", [1.0, 0.7, 1e-300, 3e300])
+    def test_samples_at_and_beside_every_bin_edge_are_counted_as_in_one_whole_record_histogram(
+        self, monkeypatch, variance
+    ):
+        # Each edge and the floats on either side of it, in x and then in p:
+        # scaled and floored, some of them fall one bin off, and the
+        # correction against the edges puts each where np.histogram2d does.
+        # The range comes from the variance, not from these samples.
+        half = HISTOGRAM_SPAN_SIGMAS * math.sqrt(variance)
+        edges = np.linspace(-half, half, HISTOGRAM_BINS + 1)
+        near = np.concatenate([edges, np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf)])
+        other = RngStream(90).generator().uniform(-half, half, len(near))
+        samples = np.concatenate([np.column_stack([near, other]), np.column_stack([other, near])])
+        record = QuadratureRecord(samples, UNIT_SNU)
+        monkeypatch.setattr(record, "pooled_variance", lambda: variance)
+        counts = self.assert_equals_one_whole_record_histogram(record, half)
+        assert counts.sum() == len(samples) - 4  # one float beyond each end, in x and in p
 
     def test_zero_spread_is_degenerate(self):
         record = QuadratureRecord(np.zeros((100, 2)), UNIT_SNU)

@@ -1,5 +1,6 @@
 """Monte Carlo protocol simulation against the closed-form model."""
 
+import contextlib
 import hashlib
 import io
 import linecache
@@ -190,13 +191,14 @@ def row_maps(monkeypatch):
     return calls
 
 
-# Traced peaks of a one-partition run of 4 chunks: 2.13 MB with the dump
+# Traced peaks of a one-partition run of 4 chunks: 1.08 MB with the dump
 # and 0.011 MB without it (Python 3.11, numpy 2.4, orjson 3.8).  Without
 # the dump no chunk is drawn; with it the chunk's normals take 0.13 MB, its
-# rows and their scratch another 0.16 MB, and the rest is the chunk's rows
-# as Python floats and tuples (~1 MB) while orjson formats them, with the
-# text it returns (0.34 MB).  The bounds sit ~1.3x and ~70x above them; at
-# 2^17-round chunks the two chunk arrays alone would take 9.4 MB.
+# rows and their scratch another 0.16 MB, and most of the rest is the
+# writer's text of 1024 rows at a time, ~0.6 KB a row: orjson's text, its
+# split lines and their join (0.63 MB more at 2048 rows).  The bounds sit
+# ~2.5x and ~70x above them; at 2^17-round chunks the two chunk arrays
+# alone would take 9.4 MB.
 DUMP_PEAK_BOUND = 2_750_000
 PEAK_BOUND = 750_000
 
@@ -794,6 +796,9 @@ class TestDump:
     @example(block=lone_edges(), first_row=10**12 - 5)
     @example(block=np.array(EDGE_VALUES[:12]).reshape(3, 4), first_row=10**12)
     @example(block=np.array(EDGE_VALUES[6:]).reshape(3, 4), first_row=10**12 + 1)
+    # Three 1024-row writes in column-major order, as _rows gives them, that
+    # end at the last row number orjson formats.
+    @example(block=np.asfortranarray(np.tile(lone_edges(), (150, 1))), first_row=2**64 - 150 * len(EDGE_VALUES))
     def test_rows_are_written_as_repr_writes_them(self, block, first_row):
         fh = io.BytesIO()
         simulate._write_rows(fh, block, first_row)
@@ -813,20 +818,27 @@ class TestDump:
             ("assert cli.main(ARGV + ['--workers', '1']) == 0", False),
             ("assert cli.main(ARGV + ['--workers', '2']) == 0", False),
             ("assert cli.main(ARGV + ['--workers', '1', '--dump', DUMP]) == 0", True),
+            ("assert cli.main(['analyze', *RECORDS, '--columns', 'xB,pB']) == 0", True),
         ],
-        ids=["parser", "serial", "pooled", "serial-dump"],
+        ids=["parser", "serial", "pooled", "serial-dump", "analyze"],
     )
-    def test_only_a_dump_imports_orjson(self, tmp_path, call, imported):
-        # Only _write_rows imports orjson, so the parser, a run without a
-        # dump and its pool stay off it; a serial dump formats its rows in
-        # the process itself.  Two usable CPUs are claimed, so a pool is
-        # started on any machine.
+    def test_only_a_dump_or_a_record_load_imports_orjson(self, tmp_path, call, imported):
+        # Only _write_rows and the g2 module import orjson, so the parser, a
+        # run without a dump and its pool stay off it; a serial dump formats
+        # its rows in the process itself, and analyze converts its records'
+        # text with it.  Two usable CPUs are claimed, so a pool is started on
+        # any machine.
         argv = ["simulate", "--n0", "340", "--va", "1", "--length", "10", "--count", "20000", "--partitions", "4"]
+        records = [str(tmp_path / "thermal.csv"), str(tmp_path / "vacuum.csv")]
+        if "RECORDS" in call:  # dumped here, so that the fresh interpreter only loads them
+            for path, va in zip(records, ["1", "0"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([*argv[:4], va, *argv[5:], "--dump", path]) == 0
         code = (
             "import sys\n"
             "from passive_cvqkd import cli, simulate\n"
             "simulate._usable_cpus = lambda: 2\n"
-            f"ARGV, DUMP = {argv!r}, {str(tmp_path / 'r.csv')!r}\n"
+            f"ARGV, DUMP, RECORDS = {argv!r}, {str(tmp_path / 'r.csv')!r}, {records!r}\n"
             f"{call}\n"
             "print('orjson' in sys.modules, file=sys.stderr)\n"
         )
