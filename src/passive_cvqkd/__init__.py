@@ -34,18 +34,15 @@ __all__ = [
     "SimSummary",
     "TransmittanceFloorWarning",
     "UnitError",
-    "beamsplitter",
     "calibrate_photon_number",
     "empirical_mutual_information",
     "excess_noise_alice",
     "export_histogram",
     "g2_estimate",
-    "heterodyne_measure",
     "heterodyne_noise",
     "load_quadrature_records",
     "optimize_modulation",
     "run_protocol",
-    "sample_thermal_quadratures",
     "secure_key_rate",
     "total_noise",
 ]
@@ -58,7 +55,7 @@ _LAZY = {
     for module, names in {
         "g2": "CalibrationResult G2Result QuadratureRecord calibrate_photon_number export_histogram "
         "g2_estimate load_quadrature_records",
-        "gaussian": "DetectorModel RngStream beamsplitter heterodyne_measure sample_thermal_quadratures",
+        "gaussian": "DetectorModel RngStream",
         "keyrate": "KeyRateReport optimize_modulation secure_key_rate",
         "noise": "ChannelModel NoiseBudget ProtocolParams TransmittanceFloorWarning excess_noise_alice "
         "heterodyne_noise total_noise",

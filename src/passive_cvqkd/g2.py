@@ -19,6 +19,7 @@ import codecs
 import copy
 import itertools
 import math
+import re
 import tempfile
 import weakref
 from collections.abc import Iterator
@@ -306,13 +307,18 @@ _CELL_BYTES = b"0123456789.eE+- \t,"
 # them as above halfway: the midpoint of 0 and 5e-324 with 17 more zeros
 # reads as 5e-324, where float() reads 0.0.  No shorter line holds one.
 _LONGEST_LINE = 768
+# A -0 cell, which orjson reads as the int 0, not as float's -0.0: an e
+# before it makes an exponent, and a digit, . or e after it another number.
+# The look-behind follows the literal so that re can search for "-0" fast.
+_NEGATIVE_ZERO = re.compile(rb"-0(?<![eE]-0)(?![0-9.eE])")
 
 
 def _convert(lines: list[str], width: int, ix: int, ip: int) -> np.ndarray | None:
     """orjson's conversion of a read's lines of ``width`` cells to ``(k, 2)``
     rows of cells ``ix`` and ``ip``; None unless each non-empty line holds
     ``width`` cells of ``_CELL_BYTES`` in at most ``_LONGEST_LINE``
-    characters, and its pair are finite floats."""
+    characters, and its pair are finite numbers, with no ``-0`` cell if an
+    integer is among them."""
     if "" in lines:
         lines = [line for line in lines if line]
     if max(map(len, lines), default=0) > _LONGEST_LINE:
@@ -329,9 +335,12 @@ def _convert(lines: list[str], width: int, ix: int, ip: int) -> np.ndarray | Non
     if len(cells) != step * n - 1 or cells[width::step].count(None) != n - 1:
         return None  # a line of another width
     x, p = cells[ix::step], cells[ip::step]
-    # orjson reads an integer as an int, and -0 as 0, not float's -0.0.
+    # orjson reads an integer in [-2**63, 2**64) as an int, which float()
+    # rounds as it rounds the integer's text, and a larger one as a float,
+    # but it reads -0 as 0.
     if not (all(map(float.__instancecheck__, x)) and all(map(float.__instancecheck__, p))):
-        return None
+        if _NEGATIVE_ZERO.search(text):
+            return None
     rows = np.empty((n, 2))
     rows[:, 0], rows[:, 1] = np.fromiter(x, float, n), np.fromiter(p, float, n)
     return rows if np.isfinite(rows).all() else None

@@ -1,4 +1,5 @@
-"""Seeded Gaussian sampling and linear-optics transforms in shot-noise units.
+"""Seeded random streams, the receiver model, and the linear optics that
+the simulator composes into one map; nothing here samples a mode.
 
 Conventions used throughout the package:
 
@@ -6,8 +7,7 @@ Conventions used throughout the package:
   thermal mode with mean photon number ``n`` has quadrature variance
   ``2 n + 1``.
 * A quadrature pair is a length-2 vector ``(x, p)``; a batch of pairs is
-  a float ndarray of shape ``(count, 2)``.  All transforms act
-  elementwise, so single pairs and batches go through the same code.
+  a float ndarray of shape ``(count, 2)``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = [
-    "DetectorModel",
-    "RngStream",
-    "beamsplitter",
-    "heterodyne_measure",
-    "sample_thermal_quadratures",
-]
+__all__ = ["DetectorModel", "RngStream"]
 
 _MAX_SEED = 2**64
 
@@ -76,110 +70,27 @@ class DetectorModel:
             raise ParameterError(f"electronic-noise variance must be >= 0, got {self.v_el}")
 
 
-def _check_finite(samples: np.ndarray, name: str) -> None:
-    if not np.isfinite(samples).all():
-        raise ParameterError(f"{name} contains NaN or Inf values")
-
-
-def sample_thermal_quadratures(n_mean: float, count: int, rng: RngStream) -> np.ndarray:
-    """Draw quadrature pairs of a thermal mode.
-
-    Both quadratures are independent zero-mean Gaussians with variance
-    ``2 * n_mean + 1``; ``n_mean = 0`` gives vacuum.
-
-    Args:
-        n_mean: mean photon number, >= 0.
-        count: number of pairs to draw, >= 1.
-        rng: stream supplying the randomness.
-
-    Returns:
-        Array of shape ``(count, 2)`` with columns ``(x, p)``.
-    """
-    if not (n_mean >= 0.0 and math.isfinite(n_mean)):
-        raise ParameterError(f"mean photon number must be finite and >= 0, got {n_mean}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    samples = rng.generator().standard_normal((int(count), 2))
-    # sigma * z rounds like g.normal(0.0, sigma), which draws the same z.
-    samples *= math.sqrt(2.0 * n_mean + 1.0)
-    return samples
-
-
-def beamsplitter(
-    a: np.ndarray, b: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mix two modes on a beam splitter of transmittance ``t``.
-
-    Applies the orthogonal mixing, per quadrature::
-
-        out1 =  sqrt(t) * a + sqrt(1 - t) * b
-        out2 = -sqrt(1 - t) * a + sqrt(t) * b
-
-    so total variance is conserved for independent inputs.  ``t = 1`` is
-    the identity, ``t = 0`` swaps the modes up to a sign.
-
-    Args:
-        a, b: quadrature pairs or batches, shape ``(..., 2)``.
-        t: power transmittance in [0, 1].
-
-    Returns:
-        The two output modes, same shape as the inputs.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ParameterError(f"transmittance must be in [0, 1], got {t}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    _check_finite(a, "input a")
-    _check_finite(b, "input b")
-    return _split(a, b, t), _split(a, b, t, port=1)
-
-
 def _split(a, b, t: float, port: int = 0):
-    """Output ``port`` (0 or 1) of :func:`beamsplitter`; no validation."""
+    """Output ``port`` (0 or 1) of a beam splitter of power transmittance
+    ``t`` mixing modes ``a`` and ``b``, per quadrature, by the orthogonal
+    mixing ``sqrt(t) a + sqrt(1 - t) b`` on port 0 and
+    ``-sqrt(1 - t) a + sqrt(t) b`` on port 1.  ``t = 1`` is the identity,
+    ``t = 0`` swaps the modes up to a sign.  No validation."""
     ct, st = math.sqrt(t), math.sqrt(1.0 - t)
     ca, cb = (ct, st) if port == 0 else (-st, ct)
     return ca * a + cb * b
 
 
-def heterodyne_measure(
-    samples: np.ndarray,
-    det: DetectorModel,
-    rng: RngStream,
-) -> np.ndarray:
-    """Conjugate-homodyne measurement of both quadratures of a mode.
-
-    The mode is split 50:50 and X is read on one arm, P on the other;
-    detector loss is a beam splitter of transmittance ``eta_d`` in front
-    of ideal detectors.  Per quadrature the outcome is::
-
-        sqrt(eta_d / 2) * in + sqrt(1 - eta_d / 2 + v_el) * z
-
-    with ``z`` standard normal.  The vacuum let in by the splitter and the
-    loss, of variance ``1 - eta_d / 2``, and the electronic noise, of
-    variance ``v_el``, are independent zero-mean Gaussians, so their sum
-    has the law of this one draw.  An input of quadrature variance V is
-    measured with variance ``eta_d * (V - 1) / 2 + 1 + v_el``.  Any
-    upstream splitting belongs to the protocol composition, not to this
-    operation.
-
-    Args:
-        samples: quadrature pairs or batch, shape ``(..., 2)``.
-        det: receiver model.
-        rng: stream for the receiver noise.
-
-    Returns:
-        Measured quadrature pairs, same shape as ``samples``.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    _check_finite(samples, "samples")
-    gain, noise = _receiver_gains(det)
-    outcome = rng.generator().standard_normal(samples.shape)
-    outcome *= noise
-    outcome += samples * gain
-    return outcome
-
-
 def _receiver_gains(det: DetectorModel) -> tuple[float, float]:
-    """Per quadrature, the gain of a receiver's input on its outcome and
-    the amplitude of its one noise draw; see :func:`heterodyne_measure`."""
+    """Per quadrature, the gain of a conjugate-homodyne receiver's input on
+    its outcome and the amplitude of its one noise draw.
+
+    The mode is split 50:50, X read on one arm and P on the other, behind
+    a loss of transmittance ``eta_d``.  The outcome is
+    ``sqrt(eta_d / 2) * in + sqrt(1 - eta_d / 2 + v_el) * z``, ``z``
+    standard normal: the vacuum let in by the splitter and the loss
+    (variance ``1 - eta_d / 2``) and the electronic noise (``v_el``) are
+    independent zero-mean Gaussians, so their sum is this one draw.  An
+    input of quadrature variance V is measured with variance
+    ``eta_d * (V - 1) / 2 + 1 + v_el``."""
     return math.sqrt(det.eta_d / 2.0), math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el)

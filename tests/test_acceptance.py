@@ -23,14 +23,13 @@ from passive_cvqkd import (
     empirical_mutual_information,
     excess_noise_alice,
     g2_estimate,
-    heterodyne_measure,
     run_protocol,
-    sample_thermal_quadratures,
     total_noise,
 )
 from passive_cvqkd.cli import DEFAULTS, compute_sweep, main
 from passive_cvqkd.keyrate import holevo_bound, mutual_information
 from passive_cvqkd.simulate import analytic_moments, empirical_mi_stderr
+from synthetic import heterodyne_measure, sample_thermal_quadratures
 
 REF_DET = DetectorModel(0.5, 0.1)
 

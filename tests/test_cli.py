@@ -27,8 +27,6 @@ from passive_cvqkd import (
     RngStream,
     TransmittanceFloorWarning,
     excess_noise_alice,
-    heterodyne_measure,
-    sample_thermal_quadratures,
     secure_key_rate,
 )
 from passive_cvqkd.cli import (
@@ -46,6 +44,7 @@ from passive_cvqkd.cli import (
 )
 from passive_cvqkd.g2 import SLICE_ROWS
 from passive_cvqkd.simulate import analytic_moments
+from synthetic import heterodyne_measure, sample_thermal_quadratures
 
 
 def report_of(path):

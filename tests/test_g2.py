@@ -25,13 +25,12 @@ from passive_cvqkd import (
     calibrate_photon_number,
     export_histogram,
     g2_estimate,
-    heterodyne_measure,
     load_quadrature_records,
-    sample_thermal_quadratures,
 )
 from passive_cvqkd import g2
 from passive_cvqkd.cli import EXIT_DATA, main
 from passive_cvqkd.g2 import HISTOGRAM_BINS, HISTOGRAM_SPAN_SIGMAS, SLICE_ROWS, UNIT_SNU
+from synthetic import heterodyne_measure, sample_thermal_quadratures
 
 IV_DET = DetectorModel(0.5, 0.35)
 
@@ -599,23 +598,23 @@ _SUBNORMAL_MIDPOINT, _ = _midpoint(0)  # 752 digits, then e-324
 @example("18446744073709551617")  # above 2^64, a float to orjson
 def test_orjson_reads_a_number_with_floats_bits(text):
     # The fast route rests on orjson's number parser rounding as float()
-    # does; an orjson whose parser rounds otherwise fails here.  A number
-    # orjson reads as an int (-0 among them) and a line longer than 768
+    # does; an orjson whose parser rounds otherwise fails here.  A -0 cell,
+    # which orjson reads as the int 0, and a line longer than 768
     # characters are refused, and the read goes by the line rules; any
-    # number orjson reads as a float must have float()'s bits.
+    # other number, int or float to orjson, must have float()'s bits.
     line = f"{text},0.5"
     got = g2._convert([line], 2, 0, 1)
     if got is None:
-        integer = not any(c in text for c in ".eE") and -(2**63) <= int(text) < 2**64
-        assert integer or len(line) > g2._LONGEST_LINE
+        assert text == "-0" or len(line) > g2._LONGEST_LINE
     else:
         assert got.tobytes() == np.array([[float(text), 0.5]]).tobytes()
 
 
 # Rows whose read _convert refuses, one class each: cells orjson reads as
 # other than a number, cells only float() takes or refuses, lines of
-# another width or of more than 768 characters, and integers in the pair.
-# The "header-" rows go under the header c0,c1,c2 with the pair (c2, c0).
+# another width or of more than 768 characters, and a -0 cell with an
+# integer in the pair.  The "header-" rows go under the header c0,c1,c2
+# with the pair (c2, c0).
 _REFUSED_ROWS = {
     "true": "true,2.5",
     "false": "1.5,false",
@@ -626,7 +625,6 @@ _REFUSED_ROWS = {
     "ragged-short": "1.5",
     "whitespace-only-line": " \t ",
     "minus-zero-integer": "-0,2.5",
-    "integer": "1.5,7",
     "plus": "+1.5,2.5",
     "no-leading-digit": ".5,2.5",
     "no-trailing-digit": "5.,2.5",
@@ -640,9 +638,33 @@ _REFUSED_ROWS = {
     "header-ragged-short": "1.5,2.5",
     # Two cells too many and then two too few: as many cells as two rows.
     "header-ragged-pair": "1.5,2.5,3.5,4.5,5.5\n6.5",
-    "header-integer-in-the-pair": "3,1.5,2.5",
     "header-minus-zero-in-the-pair": "1.5,2.5,-0",
 }
+
+# Rows of integers, which orjson reads as ints, whose read _convert takes:
+# float() of an int rounds as float() of its text.  -0 written as a float
+# or with an exponent, and an exponent of -0, stay floats.
+_INTEGER_ROWS = {
+    "integer": "1.5,7",
+    "zero": "0,2.5",
+    "2^53+1": "9007199254740993,2.5",
+    "2^64-1": "1.5,18446744073709551615",
+    "-2^63": "-9223372036854775808,2.5",
+    "minus-zero-floats": "-0.0,-0e0\n1e-0,7",
+    "header-integer-in-the-pair": "3,1.5,2.5",
+}
+
+
+def _among_clean_rows(name, rows):
+    """Three clean rows, ``rows``, three more: the lines, their width, the
+    pair's indices, the columns to load and the text of the file.  A
+    "header-" name puts them under the header c0,c1,c2 with the pair (c2, c0)."""
+    header = name.startswith("header-")
+    width, ix, ip, columns = (3, 2, 0, ("c2", "c0")) if header else (2, 0, 1, None)
+    clean = ["1.5,2.5,-3.25", "4.0e-3,5.5,6.125"] * 3 if header else ["1.5,2.5", "4.0e-3,5.5"] * 3
+    assert g2._convert(clean, width, ix, ip) is not None
+    lines = clean[:3] + rows.split("\n") + clean[3:]
+    return lines, width, ix, ip, columns, "c0,c1,c2\n" * header + "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("name", list(_REFUSED_ROWS))
@@ -650,16 +672,18 @@ def test_a_read_orjson_refuses_goes_by_the_line_rules(name):
     # Six clean rows are orjson's; with the rows among them the read is
     # refused, and the load gives the line rules' values, or their error
     # naming a line of those rows.
-    header = name.startswith("header-")
-    width, ix, ip, columns = (3, 2, 0, ("c2", "c0")) if header else (2, 0, 1, None)
-    clean = ["1.5,2.5,-3.25", "4.0e-3,5.5,6.125"] * 3 if header else ["1.5,2.5", "4.0e-3,5.5"] * 3
-    assert g2._convert(clean, width, ix, ip) is not None
-    rows = _REFUSED_ROWS[name].split("\n")
-    lines = clean[:3] + rows + clean[3:]
+    lines, width, ix, ip, columns, text = _among_clean_rows(name, _REFUSED_ROWS[name])
     assert g2._convert(lines, width, ix, ip) is None
-    text = "c0,c1,c2\n" * header + "\n".join(lines) + "\n"
     expected = reference_load(text, columns)
-    assert isinstance(expected, np.ndarray) or set(expected) <= set(range(4 + header, 4 + header + len(rows)))
+    first, rows = 4 + name.startswith("header-"), len(_REFUSED_ROWS[name].split("\n"))
+    assert isinstance(expected, np.ndarray) or set(expected) <= set(range(first, first + rows))
+    agrees_with_the_documented_format(text, columns)
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_ROWS))
+def test_a_read_of_integer_cells_is_orjsons(name):
+    lines, width, ix, ip, columns, text = _among_clean_rows(name, _INTEGER_ROWS[name])
+    assert g2._convert(lines, width, ix, ip).tobytes() == reference_load(text, columns).tobytes()
     agrees_with_the_documented_format(text, columns)
 
 

@@ -29,7 +29,6 @@ from passive_cvqkd import (
     SimConfig,
     SimSummary,
     TransmittanceFloorWarning,
-    beamsplitter,
     empirical_mutual_information,
     excess_noise_alice,
     load_quadrature_records,
@@ -68,20 +67,24 @@ def make_config(n0=340.0, v_a=1.0, length=10.0, count=250_000, seed=42, partitio
 
 
 def reference_coefficients(cfg):
-    """The simulator's chain on unit inputs, written with the public
-    allocating beam splitter and the written formulas of the source and
-    the receivers, which ``tests/test_gaussian.py`` pins
-    ``sample_thermal_quadratures`` and ``heterodyne_measure`` to.
+    """The simulator's chain on unit inputs, written out here from the
+    physics: the thermal source, the orthogonal beam-splitter mixing and
+    the conjugate-homodyne receiver law, none of them through the
+    package's ``_split`` or ``_receiver_gains``.
 
     Input k is the batch of pairs that is (1, 1) in row k and 0 elsewhere.
     The chain is linear and acts on each row alone, so row k of an output
     holds its coefficient on input k, alike in x and p.  Every splitter
-    computes both outputs and checks its inputs for finiteness.  Returns
-    the x and the p coefficients of ``(d, est, B)``, each 3x8.
+    computes both outputs.  Returns the x and the p coefficients of
+    ``(d, est, B)``, each 3x8.
     """
     params, det_a, det_b = cfg.params, cfg.det_a, cfg.det_b
     eta_a = params.eta_a
     src, vac1, vac2, vac_att, noise_a, excess, vac_ch, noise_b = np.eye(8)[:, :, None] * np.ones(2)
+
+    def beamsplitter(a, b, t):
+        ct, st = math.sqrt(t), math.sqrt(1.0 - t)
+        return ct * a + st * b, -st * a + ct * b
 
     def heterodyne(samples, det, noise):
         return math.sqrt(det.eta_d / 2.0) * samples + math.sqrt(1.0 - det.eta_d / 2.0 + det.v_el) * noise
@@ -228,7 +231,7 @@ class TestChunk:
         ],
         ids=["reference", "v_a=0", "eta_d=1,v_el=0", "L=0"],
     )
-    def test_coefficients_match_the_public_chain(self, kw):
+    def test_coefficients_match_the_reference_chain(self, kw):
         cfg = make_config(**kw)
         c = _coefficients(cfg)
         ref_x, ref_p = reference_coefficients(cfg)
