@@ -6,53 +6,15 @@ Gaussian-modulated coherent-state protocol with a passively prepared
 pipeline used to characterize thermal sources.
 """
 
-from .errors import (
-    DegenerateDataError,
-    ParameterError,
-    PhysicalityError,
-    RecordFormatError,
-    UnitError,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationResult",
-    "ChannelModel",
-    "DegenerateDataError",
-    "DetectorModel",
-    "G2Result",
-    "KeyRateReport",
-    "NoiseBudget",
-    "ParameterError",
-    "PhysicalityError",
-    "ProtocolParams",
-    "QuadratureRecord",
-    "RecordFormatError",
-    "RngStream",
-    "SimConfig",
-    "SimSummary",
-    "TransmittanceFloorWarning",
-    "UnitError",
-    "calibrate_photon_number",
-    "empirical_mutual_information",
-    "excess_noise_alice",
-    "export_histogram",
-    "g2_estimate",
-    "heterodyne_noise",
-    "load_quadrature_records",
-    "optimize_modulation",
-    "run_protocol",
-    "secure_key_rate",
-    "total_noise",
-]
-
-# Every other public name, by the module that defines it.  A module is
-# imported when one of its names is first read, so importing the package,
-# or a command that does not use a layer, does not load that layer or numpy.
+# Every public name, by the module that defines it.  A module is imported
+# when one of its names is first read, so importing the package, or a
+# command that does not use a layer, does not load that layer or numpy.
 _LAZY = {
     name: module
     for module, names in {
+        "errors": "DegenerateDataError ParameterError PhysicalityError RecordFormatError UnitError",
         "g2": "CalibrationResult G2Result QuadratureRecord calibrate_photon_number export_histogram "
         "g2_estimate load_quadrature_records",
         "gaussian": "DetectorModel RngStream",
@@ -63,6 +25,8 @@ _LAZY = {
     }.items()
     for name in names.split()
 }
+
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

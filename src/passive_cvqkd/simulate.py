@@ -59,6 +59,9 @@ _CHUNK = 1 << 12
 # and lines take ~0.6 KB a row while they are formatted, so a whole chunk at
 # once took the traced peak of a dump from 1.08 to 2.97 MB, and was no faster.
 _WRITE_ROWS = 1 << 10
+# The entries of Bartlett's factor, made once: numpy's index helpers leave
+# small tuples that only a full collection frees, and many partitions piled them up.
+_DIAG, _TRIL = np.diag_indices(6), np.tril_indices(6, -1)
 
 
 @dataclass(frozen=True)
@@ -173,8 +176,8 @@ def _bartlett(g: random.Random, n: int) -> np.ndarray:
     N(0, 1)`` below the diagonal, row by row, are independent.  Both of the
     stdlib's draws are exact in law."""
     t = np.zeros((6, 6))
-    t[np.diag_indices(6)] = [math.sqrt(g.gammavariate((n - i) / 2.0, 2.0)) for i in range(6)]
-    t[np.tril_indices(6, -1)] = [g.gauss(0.0, 1.0) for _ in range(15)]
+    t[_DIAG] = [math.sqrt(g.gammavariate((n - i) / 2.0, 2.0)) for i in range(6)]
+    t[_TRIL] = [g.gauss(0.0, 1.0) for _ in range(15)]
     return t
 
 
@@ -348,21 +351,23 @@ def run_protocol(
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     base, rem = divmod(cfg.count, cfg.partitions)
-    # Partitions beyond cfg.count would get no rounds; they are not run.
-    counts = [base + (1 if k < rem else 0) for k in range(min(cfg.partitions, cfg.count))]
-    first_rows = list(itertools.accumulate(counts[:-1], initial=0))
+    # Partitions beyond cfg.count would get no rounds; they are not run.  The
+    # others' arguments are made as each runs, so no list grows with them.
+    runs = range(min(cfg.partitions, cfg.count))
+    counts = (base + (1 if k < rem else 0) for k in runs)
+    first_rows = (k * base + min(k, rem) for k in runs)
 
     with contextlib.ExitStack() as stack:
-        parts = [None] * len(counts)
+        parts = itertools.repeat(None)
         if dump_path is not None:
             dump = stack.enter_context(open(dump_path, "wb"))
             tmp = tempfile.mkdtemp(prefix=".dump-", dir=os.path.dirname(os.path.abspath(dump_path)))
             stack.callback(shutil.rmtree, tmp, ignore_errors=True)
-            parts = [os.path.join(tmp, f"part{k}.csv") for k in range(len(counts))]
+            parts = [os.path.join(tmp, f"part{k}.csv") for k in runs]
         mapper = map
         # The pool forks all its workers at once; more than one per
         # partition or per usable CPU would sit idle.
-        pool_size = min(workers, len(counts), _usable_cpus())
+        pool_size = min(workers, runs.stop, _usable_cpus())
         if pool_size > 1:
             # Imported here: the serial run and the other commands never need it.
             from concurrent.futures import ProcessPoolExecutor
@@ -371,11 +376,11 @@ def run_protocol(
         with np.errstate(over="ignore", invalid="ignore"):
             # A non-finite coefficient (a huge n0) reaches the moment check below.
             factor = _factor(cfg)
-        streams = [RngStream(cfg.master_seed, k) for k in range(len(counts))]
-        results = list(mapper(_partition_sums, itertools.repeat(factor), streams, counts, first_rows, parts))
+        streams = (RngStream(cfg.master_seed, k) for k in runs)
+        results = mapper(_partition_sums, itertools.repeat(factor), streams, counts, first_rows, parts)
         n = cfg.count
         with np.errstate(over="ignore", invalid="ignore"):
-            # Merged in partition order, so the sum does not depend on ``workers``.
+            # Merged in partition order as each arrives, so the sum does not depend on ``workers``.
             second = sum(results) / n
             diag = np.diag(second)
             # A non-finite quadrature at any stage reaches a diagonal moment, and the

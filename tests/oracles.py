@@ -59,6 +59,82 @@ def holevo_bound_mp(v_a, t, chi_line, chi_het, dps: int = 40) -> mp.mpf:
         return chi_be
 
 
+def _epr(v) -> mp.matrix:
+    """Covariance matrix of a two-mode squeezed vacuum whose modes each
+    have quadrature variance ``v``, in the order ``(x1, p1, x2, p2)``."""
+    c = mp.sqrt(v * v - 1)
+    return mp.matrix([[v, 0, c, 0], [0, v, 0, -c], [c, 0, v, 0], [0, -c, 0, v]])
+
+
+def _sub(gamma: mp.matrix, rows, cols) -> mp.matrix:
+    return mp.matrix([[gamma[i, j] for j in cols] for i in rows])
+
+
+def gaussian_entropy(gamma: mp.matrix) -> mp.mpf:
+    """Von Neumann entropy, in bits, of the Gaussian state of covariance
+    matrix ``gamma`` (SNU, quadratures ordered ``(x1, p1, x2, p2, ...)``).
+
+    The symplectic eigenvalues are the moduli of the eigenvalues of
+    ``i Omega gamma``, which come in pairs ``+-lambda``.  An eigenvalue
+    below 1 by round-off counts as the vacuum's.
+    """
+    n = gamma.rows
+    omega = mp.zeros(n)
+    for k in range(0, n, 2):
+        omega[k, k + 1], omega[k + 1, k] = 1, -1
+    moduli = sorted(abs(e) for e in mp.eig(mp.mpc(0, 1) * omega * gamma, right=False))
+    return mp.fsum(bosonic_entropy(max(lam - 1, 0) / 2) for lam in moduli[::2])
+
+
+def holevo_bound_cm_mp(v_a, t, chi_line, eta, v_el, dps: int = 40) -> mp.mpf:
+    """Holevo bound ``chi_BE`` from covariance matrices, in the
+    entanglement-based picture of Lodewyck et al., PRA 76, 042305 (2007),
+    with Bob's heterodyne receiver of efficiency ``eta < 1`` and electronic
+    noise ``v_el`` trusted.
+
+    Alice holds mode A of an EPR pair of variance ``V = v_a + 1`` and sends
+    the other mode through a channel of transmittance ``t`` that adds
+    ``chi_line`` referred to its input, so Bob's mode B1 has variance
+    ``t (V + chi_line)`` and correlation ``sqrt(t (V^2 - 1))`` with A.  Eve
+    purifies (A, B1), so ``S(E) = S(A B1)``.  Bob's detector is a beam
+    splitter of transmittance ``eta`` mixing B1 with mode F0 of an EPR pair
+    (F0, G) of variance ``1 + 2 v_el / (1 - eta)``.  His heterodyne of the
+    output B2 projects it onto a coherent state, so ``S(E | B) = S(A F G |
+    B)``, and the conditional covariance matrix is ``gamma_AFG - sigma
+    (gamma_B2 + I)^-1 sigma^T``.  Nothing here uses the closed-form
+    discriminants of ``holevo_bound_mp`` or of the package.
+    """
+    with mp.workdps(dps):
+        v_a, t, chi_line, eta, v_el = (mp.mpf(str(q)) for q in (v_a, t, chi_line, eta, v_el))
+        v = v_a + 1
+        # Modes (A, B1, F0, G), two quadratures each.
+        gamma = mp.zeros(8)
+        ab = _epr(v)
+        scale = [1, 1, mp.sqrt(t), mp.sqrt(t)]
+        for i in range(4):
+            for j in range(4):
+                gamma[i, j] = ab[i, j] * scale[i] * scale[j]
+        gamma[2, 2] = gamma[3, 3] = t * (v + chi_line)
+        detector = _epr(1 + 2 * v_el / (1 - eta))
+        for i in range(4):
+            for j in range(4):
+                gamma[4 + i, 4 + j] = detector[i, j]
+        s_e = gaussian_entropy(_sub(gamma, range(4), range(4)))
+
+        # The beam splitter takes (B1, F0) to (B2, F) in each quadrature.
+        bs = mp.eye(8)
+        for q in (0, 1):
+            b, f = 2 + q, 4 + q
+            bs[b, b], bs[b, f] = mp.sqrt(eta), mp.sqrt(1 - eta)
+            bs[f, b], bs[f, f] = -mp.sqrt(1 - eta), mp.sqrt(eta)
+        gamma = bs * gamma * bs.T
+
+        rest, measured = (0, 1, 4, 5, 6, 7), (2, 3)
+        sigma = _sub(gamma, rest, measured)
+        conditional = _sub(gamma, rest, rest) - sigma * mp.inverse(_sub(gamma, measured, measured) + mp.eye(2)) * sigma.T
+        return s_e - gaussian_entropy(conditional)
+
+
 def key_rate_mp(
     n0,
     v_a,

@@ -4,12 +4,20 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_optimum, displaced_gaussian_g2, holevo_bound_mp, key_rate_mp
+from oracles import (
+    REFERENCE,
+    brute_force_optimum,
+    displaced_gaussian_g2,
+    holevo_bound_cm_mp,
+    holevo_bound_mp,
+    key_rate_mp,
+)
 from passive_cvqkd import (
     ChannelModel,
     DetectorModel,
@@ -18,6 +26,7 @@ from passive_cvqkd import (
     PhysicalityError,
     ProtocolParams,
     TransmittanceFloorWarning,
+    heterodyne_noise,
     optimize_modulation,
     secure_key_rate,
 )
@@ -308,6 +317,63 @@ def test_array_evaluation_agrees_with_float_evaluations(n0, length, det_a, det_b
     if float_error is None:
         for i, want in enumerate(reports):
             assert_reports_agree(scan.at(i), want, f)
+
+
+def holevo_against_the_covariance_oracle(v_a, length, eta, v_el, xi):
+    """``holevo_bound`` and ``holevo_bound_cm_mp`` on the same float inputs:
+    the channel of ``length`` km and ``chi_line = 1/t - 1 + xi``."""
+    t = ChannelModel(0.2, length).t
+    chi_line = 1.0 / t - 1.0 + xi
+    got, _ = holevo_bound(v_a, t, chi_line, heterodyne_noise(DetectorModel(eta, v_el)))
+    return got, float(holevo_bound_cm_mp(v_a, t, chi_line, eta, v_el))
+
+
+@pytest.mark.parametrize("length", [10, 50, 100])
+def test_covariance_oracle_agrees_with_the_discriminant_oracle(length):
+    """The covariance-matrix picture and the closed-form discriminants give
+    one bound at 50 digits, on exact inputs: the reference detector and
+    modulation, 0.2 dB/km and an excess noise of 0.01."""
+    with mp.workdps(50):
+        t = mp.power(10, -mp.mpf("0.2") * length / 10)
+        chi_line = 1 / t - 1 + mp.mpf("0.01")
+        eta, v_el = mp.mpf(REFERENCE["eta_d"]), mp.mpf(REFERENCE["v_el"])
+        chi_het = (2 - eta + 2 * v_el) / eta
+        cm = holevo_bound_cm_mp(1, t, chi_line, eta, v_el, dps=50)
+        closed = holevo_bound_mp(1, t, chi_line, chi_het, dps=50)
+        assert abs(cm - closed) <= mp.mpf("1e-30") * abs(closed)
+
+
+# One oracle call takes ~20 ms, so a failing example is reported as found, not shrunk.
+@settings(derandomize=True, database=None, max_examples=30, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(
+    v_a=st.floats(1.0, 20.0),
+    length=st.floats(1.0, 150.0),
+    eta=st.floats(0.3, 0.99),
+    v_el=st.floats(0.0, 0.5),
+    xi=st.floats(0.0, 0.1),
+)
+def test_holevo_bound_agrees_with_the_covariance_oracle(v_a, length, eta, v_el, xi):
+    """The float chain against an oracle that shares none of its algebra,
+    at 1e-9 relative, over the receiver domain, 1-150 km and v_a >= 1.
+    Below 1 km or below v_a = 1 the chain's cancellations can cost more
+    than that (ROADMAP item 2 (c); the pinned cases below)."""
+    got, want = holevo_against_the_covariance_oracle(v_a, length, eta, v_el, xi)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: near t = 1 with little excess noise the square root of a "
+    "near-zero discriminant halves the chain's digits, and at small v_a its terms cancel",
+)
+@pytest.mark.parametrize(
+    "v_a, length, eta, v_el, xi",
+    [(20.0, 0.0, 0.99, 0.0, 1e-6), (0.01, 0.0, 0.5, 0.1, 1e-6), (0.01, 150.0, 0.3, 0.0, 0.0)],
+    ids=["t1-va20", "t1-va0.01", "150km-va0.01"],
+)
+def test_holevo_bound_agrees_with_the_covariance_oracle_at_the_domain_corners(v_a, length, eta, v_el, xi):
+    got, want = holevo_against_the_covariance_oracle(v_a, length, eta, v_el, xi)
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestOverflow:

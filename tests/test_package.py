@@ -51,3 +51,30 @@ def test_fresh_package_resolves_names_and_submodules_on_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "True False\nTrue False\nTrue True\n"
+
+
+def test_fresh_import_loads_no_module_of_the_package():
+    # The package and its listing need none of its modules; reading an
+    # exception loads only the module that defines it, and still no numpy.
+    code = (
+        "import sys\n"
+        "import passive_cvqkd\n"
+        "dir(passive_cvqkd)\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('passive_cvqkd.'))\n"
+        "print(loaded())\n"
+        "passive_cvqkd.ParameterError\n"
+        "print(loaded(), 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(passive_cvqkd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n['passive_cvqkd.errors'] False\n"
+
+
+@pytest.mark.parametrize("name", passive_cvqkd.__all__)
+def test_public_name_is_public_in_its_module(name):
+    # The names ``from <module> import *`` binds: the module's ``__all__``,
+    # or, where it has none, its names without a leading underscore.
+    namespace = {}
+    exec(f"from passive_cvqkd.{passive_cvqkd._LAZY[name]} import *", namespace)
+    assert name in namespace

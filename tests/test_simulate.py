@@ -711,6 +711,21 @@ class TestDump:
                 tracemalloc.stop()
         assert abs(min(peaks[10**12]) - min(peaks[10**4])) <= 1024
 
+    def test_serial_peak_without_dump_does_not_grow_with_partitions(self):
+        # Each partition's arguments are made as it runs and its sums are
+        # merged as they arrive, so no per-partition list is held.
+        def peak(partitions):
+            cfg = make_config(count=10**12, partitions=partitions, seed=33)
+            run_protocol(cfg)
+            tracemalloc.start()
+            try:
+                run_protocol(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) <= 1.25 * peak(10)
+
     def test_no_part_file_is_left_behind(self, tmp_path):
         run_protocol(make_config(count=2000, partitions=3, seed=25), dump_path=str(tmp_path / "r.csv"), workers=2)
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
